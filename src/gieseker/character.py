@@ -145,7 +145,7 @@ def parse_fraction(text: Union[str, int]) -> Fraction:
             num, den = text.split("/")
             return Fraction(int(num), int(den))
         return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed rational {text!r}") from exc
 
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from . import atlas, character, degeneration, invariants, modular_graph
 from .errors import DomainError
@@ -34,6 +32,27 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _rows(rows, kind: str, required: AbstractSet[str], optional: AbstractSet[str] = frozenset()) -> list:
+    """Check a list of row objects against their required and optional keys."""
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise DomainError(f"{kind} rows must be a list of objects")
+    for row in rows:
+        extra = set(row) - required - optional
+        if extra:
+            raise DomainError(f"unknown {kind} keys: {sorted(extra)}")
+        missing = required - set(row)
+        if missing:
+            raise DomainError(f"{kind} rows require the keys {sorted(missing)}")
+    return rows
+
+
 def parse_spec_document(data: dict):
     """Parse a spec document into the class data plus case-specific keys;
     unknown keys are rejected."""
@@ -44,22 +63,22 @@ def parse_spec_document(data: dict):
         raise DomainError(f"unknown spec keys: {sorted(unknown)}")
     if "q" not in data:
         raise DomainError("spec document requires the key 'q'")
-    evaluations = []
-    for row in data.get("evaluations", []):
-        extra = set(row) - {"label", "lambda", "descendant"}
-        if extra:
-            raise DomainError(f"unknown evaluation keys: {sorted(extra)}")
-        evaluations.append(
-            character.EvaluationInsertion(
-                str(row["label"]), int(row["lambda"]), int(row.get("descendant", 0))
-            )
+    evaluations = [
+        character.EvaluationInsertion(
+            str(row["label"]),
+            _integer(row["lambda"], "evaluation lambda"),
+            _integer(row.get("descendant", 0), "evaluation descendant"),
         )
-    indices = []
-    for row in data.get("indices", []):
-        extra = set(row) - {"lambda", "power"}
-        if extra:
-            raise DomainError(f"unknown index keys: {sorted(extra)}")
-        indices.append(character.IndexInsertion(int(row["lambda"]), int(row["power"])))
+        for row in _rows(
+            data.get("evaluations", []), "evaluation", {"label", "lambda"}, {"descendant"}
+        )
+    ]
+    indices = [
+        character.IndexInsertion(
+            _integer(row["lambda"], "index lambda"), _integer(row["power"], "index power")
+        )
+        for row in _rows(data.get("indices", []), "index", {"lambda", "power"})
+    ]
     spec = character.AdmissibleClassSpec(
         character.parse_fraction(data["q"]), tuple(evaluations), tuple(indices)
     )
@@ -73,26 +92,6 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
     except ValueError as exc:
         raise DomainError(f"{what} must be two comma-separated integers, got {text!r}") from exc
     return lo, hi
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("GK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"GK_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
-def _pool_map(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- subcommands ----------------------------------------------------------
@@ -144,16 +143,13 @@ def _cmd_stabilizer(args) -> int:
 
 def _load_bounds(args, base) -> atlas.MultidegreeBounds:
     if args.bounds:
-        data = _load_json(args.bounds)
-        if not isinstance(data, list):
-            raise DomainError("bounds document must be a list")
         table = {}
-        for row in data:
-            extra = set(row) - {"blocks", "upper", "lower"}
-            if extra:
-                raise DomainError(f"unknown bounds keys: {sorted(extra)}")
-            r = atlas.Partition.of(row["blocks"])
-            table[r] = (int(row["upper"]), int(row["lower"]))
+        for row in _rows(_load_json(args.bounds), "bounds", {"blocks", "upper", "lower"}):
+            try:
+                r = atlas.Partition.of(row["blocks"])
+            except TypeError as exc:
+                raise DomainError(f"bounds blocks must be lists of vertex ids: {exc}") from exc
+            table[r] = (_integer(row["upper"], "bounds upper"), _integer(row["lower"], "bounds lower"))
         missing = set(atlas.nt2b(base)) - set(table)
         if missing:
             raise DomainError("bounds document must cover every non-trivial 2-block partition")
@@ -224,7 +220,7 @@ def _cmd_invariant(args) -> int:
     window = _parse_pair(args.window, "--window") if args.window else None
     scan = None
     if case_info.get("total_degree", "scan") != "scan":
-        scan = [int(case_info["total_degree"])]
+        scan = [_integer(case_info["total_degree"], "total_degree")]
     if args.case == "g0n3":
         if window is not None:
             raise DomainError("--window applies only to the g0n4-boundary case")
@@ -239,7 +235,7 @@ def _cmd_stabilize(args) -> int:
     spec, case_info = parse_spec_document(_load_json(args.spec))
     _check_case_info(case_info, args.case)
     report = invariants.stabilization_report(spec, args.case)
-    rows = _pool_map(lambda row: f"{row[0]},{row[1]}", report.rows)
+    rows = [f"{t},{value}" for t, value in report.rows]
     sys.stdout.write("truncation,value\n" + "\n".join(rows) + "\n")
     sys.stderr.write(
         f"observed={report.observed} predicted={report.predicted} value={report.value}\n"

@@ -556,5 +556,10 @@ def degeneracy_from_json(data: dict) -> DegeneracyType:
         raise DomainError("degeneracy document must carry a multidegree")
     rest = {k: v for k, v in data.items() if k != "multidegree"}
     graph = graph_from_json(rest)
-    multidegree = {v: int(d) for v, d in data["multidegree"].items()}
+    if not isinstance(data["multidegree"], dict):
+        raise DomainError("multidegree must be an object")
+    try:
+        multidegree = {v: int(d) for v, d in data["multidegree"].items()}
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"multidegree values must be integers: {exc}") from exc
     return DegeneracyType(graph, multidegree)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .atlas import FixedComponentLabel, Partition, nt2b
 from .character import (
@@ -24,13 +24,11 @@ from .character import (
     char_add,
     char_mul,
     char_pow,
-    class_weight,
     degree_range,
     index_character,
     vanishing_bounds,
     weight_zero_part,
 )
-from .degeneration import DegeneracyType
 from .errors import DomainError
 from .modular_graph import ModularGraph
 
@@ -82,15 +80,12 @@ class ChainFixedPoint:
     n: int
     sums: tuple[int, int]  # (plus content d+n-1, minus content -n)
     tangent_weights: tuple[Vector, Vector]
-    weight: LaurentCharacter
-    stratum: DegeneracyType
 
 
 @dataclass(frozen=True)
 class ChainComponent:
     n: int
     endpoints: tuple[int, int]
-    stratum: DegeneracyType
 
 
 @dataclass(frozen=True)
@@ -99,26 +94,6 @@ class ChainModel:
     window: tuple[int, int]
     points: tuple[ChainFixedPoint, ...]
     components: tuple[ChainComponent, ...]
-    boundary_strata: tuple[DegeneracyType, DegeneracyType]
-
-    def point(self, n: int) -> ChainFixedPoint:
-        for p in self.points:
-            if p.n == n:
-                return p
-        raise DomainError(f"fixed point {n} outside the window")
-
-
-def _chain_fixed_stratum(d: int, n: int) -> DegeneracyType:
-    graph = ModularGraph.build(
-        {"a": 0, "bub": 0, "b": 0},
-        edges=[("a", "bub"), ("bub", "b")],
-        tails={"1": "a", "2": "a", "3": "b", "4": "b"},
-    )
-    return DegeneracyType(graph, {"a": d + n - 1, "bub": 1, "b": -n})
-
-
-def _chain_open_stratum(d: int, n: int) -> DegeneracyType:
-    return DegeneracyType(chain_base_graph(), {"a": d + n, "b": -n})
 
 
 def _chain_label(d: int, n: int) -> FixedComponentLabel:
@@ -129,29 +104,16 @@ def _chain_label(d: int, n: int) -> FixedComponentLabel:
 def build_chain_model(d: int, spec: AdmissibleClassSpec, window: tuple[int, int]) -> ChainModel:
     """Chain of rational curves over the boundary point, truncated to the
     fixed points pt_n with n in the window; components join consecutive
-    fixed points, with a half component hanging off each end."""
+    fixed points.  The chain's shape does not depend on ``spec``; the
+    class enters through the line data (see ``_assemble_line_data``)."""
     lo, hi = window
     if lo > hi:
         raise DomainError("empty chain window")
-    genera = {("a",): 0, ("b",): 0}
-    point_blocks = chain_point_blocks()
-    points = []
-    for n in range(lo, hi + 1):
-        label = _chain_label(d, n)
-        points.append(
-            ChainFixedPoint(
-                n,
-                (d + n - 1, -n),
-                (TANGENT_Z, TANGENT_W),
-                class_weight(spec, label, genera, point_blocks),
-                _chain_fixed_stratum(d, n),
-            )
-        )
-    components = tuple(
-        ChainComponent(n, (n, n + 1), _chain_open_stratum(d, n)) for n in range(lo, hi)
+    points = tuple(
+        ChainFixedPoint(n, (d + n - 1, -n), (TANGENT_Z, TANGENT_W)) for n in range(lo, hi + 1)
     )
-    boundary = (_chain_open_stratum(d, lo - 1), _chain_open_stratum(d, hi))
-    return ChainModel(d, window, tuple(points), components, boundary)
+    components = tuple(ChainComponent(n, (n, n + 1)) for n in range(lo, hi))
+    return ChainModel(d, window, points, components)
 
 
 # -- line data on the chain ---------------------------------------------------
@@ -253,22 +215,33 @@ def _sections_localization(m: int, fiber_a: Vector, fiber_b: Vector) -> LaurentC
     return _divide_one_minus(numerator, TANGENT_Z)
 
 
-def _chain_chi(model: ChainModel, line: ChainLineData, engine: str) -> LaurentCharacter:
+def _chain_terms(
+    model: ChainModel, line: ChainLineData, engine: str
+) -> Iterator[tuple[int, LaurentCharacter, LaurentCharacter]]:
+    """Each fixed point's terms, times its multiplier: the fiber term, and
+    the sections of the component that starts there (zero at the window's
+    right end).  On any sub-window [a, b] the Euler characteristic is
+    fiber(a) plus sections(n) - fiber(n) for each n in [a, b): charts
+    overlap in one fiber at every interior node."""
     _check_line_data(model, line)
     lo, hi = model.window
-    if lo == hi:
-        return char_mul(LaurentCharacter.monomial(2, line.fibers[lo]), line.multiplier(lo))
-    total = LaurentCharacter.zero(2)
-    for comp in model.components:
-        n = comp.n
-        if engine == "cech":
+    for n in range(lo, hi + 1):
+        mult = line.multiplier(n)
+        if n == hi:
+            sections = LaurentCharacter.zero(2)
+        elif engine == "cech":
             sections = _sections_progression(line.degrees[n], line.fibers[n])
         else:
             sections = _sections_localization(line.degrees[n], line.fibers[n], line.fibers[n + 1])
-        total = char_add(total, char_mul(sections, line.multiplier(n)))
-    for n in range(lo + 1, hi):
-        node = char_mul(LaurentCharacter.monomial(2, line.fibers[n]), line.multiplier(n))
-        total = char_add(total, -node)
+        fiber = char_mul(LaurentCharacter.monomial(2, line.fibers[n]), mult)
+        yield n, fiber, char_mul(sections, mult)
+
+
+def _chain_chi(model: ChainModel, line: ChainLineData, engine: str) -> LaurentCharacter:
+    terms = list(_chain_terms(model, line, engine))
+    total = terms[0][1]
+    for _, fiber, sections in terms[:-1]:
+        total = char_add(total, char_add(sections, -fiber))
     return total
 
 
@@ -321,20 +294,20 @@ def _assemble_line_data(
     """Split the admissible class on the chain into its line-bundle part
     (twist line bundle and evaluations; every component has degree -q)
     and the index factors as locally constant multipliers."""
+    lo, hi = window
+    eval_shift = [Fraction(0), Fraction(0)]
+    point_blocks = chain_point_blocks()
+    for ev in spec.evaluations:
+        if ev.label not in point_blocks:
+            raise DomainError(f"marked point {ev.label} has no block assignment")
+        side = 0 if point_blocks[ev.label] == ("a",) else 1
+        eval_shift[side] -= ev.weight
     if spec.q.denominator != 1:
         raise DomainError(
             "the boundary-chain computation needs integer component degrees; "
             f"the twist line bundle has degree -q = {-spec.q} per component"
         )
     q = int(spec.q)
-    lo, hi = window
-    eval_shift = [Fraction(0), Fraction(0)]
-    point_blocks = chain_point_blocks()
-    for ev in spec.evaluations:
-        if ev.label not in point_blocks:
-            raise DomainError(f"marked point {ev.label} is not one of the four markings")
-        side = 0 if point_blocks[ev.label] == ("a",) else 1
-        eval_shift[side] -= ev.weight
     fibers = {}
     multipliers = {}
     genera = {("a",): 0, ("b",): 0}
@@ -352,10 +325,19 @@ def _assemble_line_data(
     return ChainLineData(degrees, fibers, multipliers)
 
 
-def _chain_value(spec: AdmissibleClassSpec, d: int, window: tuple[int, int], engine: str) -> int:
-    model = build_chain_model(d, spec, window)
-    line = _assemble_line_data(spec, d, window)
-    return weight_zero_part(_chain_chi(model, line, engine))
+def _chain_values(
+    spec: AdmissibleClassSpec, d: int, span: tuple[int, int], engine: str
+) -> Callable[[int, int], int]:
+    """Weight-zero chain value on any sub-window [a, b] of the span, from
+    one pass over the span's fixed points."""
+    model = build_chain_model(d, spec, span)
+    line = _assemble_line_data(spec, d, span)
+    fiber = {}
+    prefix = {span[0]: 0}  # prefix[n]: sections(k) - fiber(k) summed over k < n
+    for n, fiber_term, sections in _chain_terms(model, line, engine):
+        fiber[n] = weight_zero_part(fiber_term)
+        prefix[n + 1] = prefix[n] + weight_zero_part(sections) - fiber[n]
+    return lambda a, b: fiber[a] + prefix[b] - prefix[a]
 
 
 def _auto_window(spec: AdmissibleClassSpec, d: int, pad: int) -> tuple[int, int]:
@@ -364,42 +346,60 @@ def _auto_window(spec: AdmissibleClassSpec, d: int, pad: int) -> tuple[int, int]
     return (bounds.lower(r) - pad, bounds.upper(r) + pad)
 
 
+def _window_bound(spec: AdmissibleClassSpec, degrees: Iterable[int]) -> int:
+    """Largest |end| of the auto windows at the given degrees."""
+    return max((abs(end) for d in degrees for end in _auto_window(spec, d, 2)), default=0)
+
+
+def _stable_from(values: list[int], final: int) -> int:
+    """Smallest t from which every value equals ``final`` (the last index
+    when the last value differs)."""
+    stable = len(values) - 1
+    for t in range(len(values) - 1, -1, -1):
+        if values[t] != final:
+            break
+        stable = t
+    return stable
+
+
 def _invariant_g0_n4(
     spec: AdmissibleClassSpec,
     engine: str,
     window: Optional[tuple[int, int]] = None,
     scan: Optional[Iterable[int]] = None,
-) -> InvariantResult:
-    degrees = sorted(scan) if scan is not None else list(degree_range(spec, 0, 4))
+) -> tuple[InvariantResult, list[int]]:
+    """The invariant and its truncation sweep: the value summed over the
+    windows [-t, t] for t = 0..t_max.  Each degree's chain is evaluated
+    once, over the widest window any of these values reads."""
+    degrees = sorted(set(scan)) if scan is not None else list(degree_range(spec, 0, 4))
+    # the sweep runs over the degrees that can carry weight zero at all
+    # (elsewhere the diagonal weight is non-zero on every window, so the
+    # value is zero there)
+    sweep = set(degrees) & set(degree_range(spec, 0, 4))
+    t_max = _window_bound(spec, sweep) + 3
+    sweep_values = [0] * (t_max + 1)
     breakdown = {}
     for d in degrees:
         win = window if window is not None else _auto_window(spec, d, 2)
-        value = _chain_value(spec, d, win, engine)
+        if win[0] > win[1]:
+            raise DomainError("empty chain window")
         padded = (win[0] - 3, win[1] + 3)
-        check = _chain_value(spec, d, padded, engine)
+        span = (min(padded[0], -t_max), max(padded[1], t_max)) if d in sweep else padded
+        value_on = _chain_values(spec, d, span, engine)
+        value, check = value_on(*win), value_on(*padded)
         if check != value:
             raise RuntimeError(
                 "stabilization failure: enlarging the chain window changed the "
                 f"value at degree {d} ({value} -> {check})"
             )
         breakdown[d] = value
+        if d in sweep:
+            for t in range(t_max + 1):
+                sweep_values[t] += value_on(-t, t)
     contributing = tuple(sorted(d for d, v in breakdown.items() if v))
     total = sum(breakdown.values())
-    # truncation sweep over the degrees that can carry weight zero at all
-    # (elsewhere the diagonal weight is non-zero at every window size)
-    sweep = sorted(set(degrees) & set(degree_range(spec, 0, 4)))
-    truncation = 0
-    if sweep:
-        t_max = max(max(abs(b) for b in _auto_window(spec, d, 2)) for d in sweep) + 3
-        values = []
-        for t in range(t_max + 1):
-            values.append(sum(_chain_value(spec, d, (-t, t), engine) for d in sweep))
-        truncation = t_max
-        for t in range(t_max, -1, -1):
-            if values[t] != total:
-                break
-            truncation = t
-    return InvariantResult(total, contributing, breakdown, truncation)
+    truncation = _stable_from(sweep_values, total)
+    return InvariantResult(total, contributing, breakdown, truncation), sweep_values
 
 
 def invariant_g0_n4_boundary(
@@ -408,8 +408,8 @@ def invariant_g0_n4_boundary(
     scan: Optional[Iterable[int]] = None,
 ) -> InvariantResult:
     """Four-pointed genus-0 invariant over the boundary fiber, via the
-    Cech engine; re-runs with a padded window and insists on stability."""
-    return _invariant_g0_n4(spec, "cech", window, scan)
+    Cech engine; checks the value on a padded window and insists on stability."""
+    return _invariant_g0_n4(spec, "cech", window, scan)[0]
 
 
 def invariant_g0_n4_localization(
@@ -418,7 +418,7 @@ def invariant_g0_n4_localization(
     scan: Optional[Iterable[int]] = None,
 ) -> InvariantResult:
     """Independent route to the same number, via exact geometric series."""
-    return _invariant_g0_n4(spec, "localization", window, scan)
+    return _invariant_g0_n4(spec, "localization", window, scan)[0]
 
 
 # -- stabilization reports -------------------------------------------------
@@ -440,30 +440,17 @@ def stabilization_report(spec: AdmissibleClassSpec, case: str) -> StabilizationR
         supported = degree_range(spec, 0, 3)
         predicted = max((abs(d) for d in supported), default=0)
         final = invariant_g0_n3(spec).value
-        rows = []
-        for t in range(predicted + 4):
-            rows.append((t, invariant_g0_n3(spec, scan=range(-t, t + 1)).value))
+        values = [invariant_g0_n3(spec, scan=range(-t, t + 1)).value for t in range(predicted + 4)]
     elif case == "g0n4-boundary":
-        supported = degree_range(spec, 0, 4)
-        predicted = 0
-        for d in supported:
-            lo, hi = _auto_window(spec, d, 2)
-            predicted = max(predicted, abs(lo), abs(hi))
-        final = invariant_g0_n4_boundary(spec).value if supported else 0
-        rows = []
-        for t in range(predicted + 4):
-            rows.append(
-                (t, sum(_chain_value(spec, d, (-t, t), "cech") for d in supported))
-            )
+        # the invariant's own sweep runs over t = 0..predicted + 3
+        predicted = _window_bound(spec, degree_range(spec, 0, 4))
+        result, values = _invariant_g0_n4(spec, "cech")
+        final = result.value
     else:
         raise DomainError(f"unknown case {case!r}")
-    observed = len(rows) - 1
-    for t in range(len(rows) - 1, -1, -1):
-        if rows[t][1] != final:
-            break
-        observed = t
+    observed = _stable_from(values, final)
     if observed > predicted:
         raise RuntimeError(
             f"observed stabilization {observed} exceeds the predicted bound {predicted}"
         )
-    return StabilizationReport(case, tuple(rows), observed, predicted, final)
+    return StabilizationReport(case, tuple(enumerate(values)), observed, predicted, final)

@@ -201,11 +201,40 @@ def test_case_specific_keys_validated(capsys, tmp_path):
     assert json.loads(out)["value"] == 1
 
 
-def test_gk_threads_validation(capsys, spec_file, monkeypatch):
-    monkeypatch.setenv("GK_THREADS", "2")
-    code, out, _ = run(capsys, ["stabilize", "--case", "g0n3", "--spec", spec_file])
-    assert code == 0
-    monkeypatch.setenv("GK_THREADS", "many")
-    code, _, err = run(capsys, ["stabilize", "--case", "g0n3", "--spec", spec_file])
+MALFORMED_SPECS = {
+    "non-integer lambda": {"q": "1", "evaluations": [{"label": "1", "lambda": "x"}]},
+    "non-integer descendant": {"q": 1, "evaluations": [{"label": "1", "lambda": 1, "descendant": "x"}]},
+    "non-integer power": {"q": 1, "indices": [{"lambda": 1, "power": "x"}]},
+    "non-integer total_degree": {"q": 1, "total_degree": "x"},
+    "evaluation without label": {"q": 1, "evaluations": [{"lambda": 1}]},
+    "index without power": {"q": 1, "indices": [{"lambda": 1}]},
+    "evaluation row not an object": {"q": 1, "evaluations": [3]},
+    "evaluations not a list": {"q": 1, "evaluations": None},
+    "q not a rational": {"q": 1.5},
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*MALFORMED_SPECS, "non-integer multidegree", "non-integer bound", "bounds blocks not lists"],
+)
+def test_malformed_documents_exit_one(capsys, tmp_path, case, point_file, base_file):
+    if case in MALFORMED_SPECS:
+        spec = write(tmp_path, "spec.json", MALFORMED_SPECS[case])
+        argv = ["invariant", "--case", "g0n3", "--spec", spec]
+    elif case == "non-integer multidegree":
+        doc = degeneracy_to_json(DegeneracyType(chain_base_graph(), {"a": 1, "b": -1}))
+        doc["multidegree"] = {"a": "z", "b": -1}
+        argv = ["strata", "--base", write(tmp_path, "dt.json", doc), "--band", "-2,2"]
+    else:
+        row = {"blocks": [["a"], ["b"]], "upper": 5, "lower": 0}
+        if case == "non-integer bound":
+            row["upper"] = "five"
+        else:
+            row["blocks"] = [["a", 1], ["b"]]
+        bounds = write(tmp_path, "bounds.json", [row])
+        argv = ["band", "--type", point_file, "--base", base_file, "--bounds", bounds]
+    code, out, err = run(capsys, argv)
     assert code == 1
-    assert "GK_THREADS" in err
+    assert out == ""
+    assert err.startswith("error: ")

@@ -13,13 +13,14 @@ from gieseker import (
     build_chain_model,
     chain_euler_character_cech,
     chain_euler_character_localization,
-    classify_gieseker,
     degree_range,
     invariant_g0_n3,
     invariant_g0_n4_boundary,
     invariant_g0_n4_localization,
     stabilization_report,
+    weight_zero_part,
 )
+from gieseker.invariants import _assemble_line_data, _chain_values
 
 U = (Fraction(1), Fraction(-1))
 
@@ -101,28 +102,21 @@ class TestChainModel:
         model = build_chain_model(0, AdmissibleClassSpec(Fraction(1)), (0, 3))
         assert len(model.points) == 4
         assert len(model.components) == 3
-        assert len(model.boundary_strata) == 2
 
     def test_fixed_point_exponents(self):
         d, q = 2, Fraction(1)
-        model = build_chain_model(d, AdmissibleClassSpec(q), (-2, 2))
-        for point in model.points:
-            n = point.n
-            assert point.weight == LaurentCharacter.monomial(2, (q * (d + n), q * (1 - n)))
+        line = _assemble_line_data(AdmissibleClassSpec(q), d, (-2, 2))
+        assert sorted(line.fibers) == [-2, -1, 0, 1, 2]
+        for n, fiber in line.fibers.items():
+            assert fiber == (q * (d + n), q * (1 - n))
 
     def test_tangent_weights(self):
         model = build_chain_model(0, AdmissibleClassSpec(Fraction(1)), (0, 1))
         for point in model.points:
             assert point.tangent_weights == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1)))
 
-    def test_strata_are_gieseker(self):
+    def test_adjacent_components_share_one_point(self):
         model = build_chain_model(1, AdmissibleClassSpec(Fraction(1)), (-2, 2))
-        for point in model.points:
-            assert classify_gieseker(point.stratum).valid
-            assert point.stratum.total_degree == 1
-        for comp in model.components:
-            assert classify_gieseker(comp.stratum).valid
-        # adjacent components share exactly one fixed point
         for left, right in zip(model.components, model.components[1:]):
             shared = set(left.endpoints) & set(right.endpoints)
             assert len(shared) == 1
@@ -164,6 +158,12 @@ def monomial_chart_sections(m, fiber_at_origin):
         exp = vadd(fiber_at_origin, vscale(-j, U))
         terms[exp] = terms.get(exp, 0) + 1
     return LaurentCharacter.from_terms(2, terms)
+
+
+def engine_value(chi, spec, d, window):
+    """Weight-zero value of a public engine on the class restricted to its
+    own chain window."""
+    return weight_zero_part(chi(build_chain_model(d, spec, window), _assemble_line_data(spec, d, window)))
 
 
 class TestChainChi:
@@ -221,6 +221,24 @@ class TestChainChi:
             b = chain_euler_character_localization(model, line)
             assert a == b
 
+    def test_point_terms_match_engines_on_subwindows(self):
+        # one pass over a span gives the chain value of every sub-window
+        rng = random.Random(53)
+        for _ in range(20):
+            spec = random_spec(rng, integer_q=True)
+            d = rng.randint(-4, 4)
+            lo = rng.randint(-7, 2)
+            span = (lo, lo + rng.randint(0, 9))
+            for engine, chi in (
+                ("cech", chain_euler_character_cech),
+                ("localization", chain_euler_character_localization),
+            ):
+                value_on = _chain_values(spec, d, span, engine)
+                for _ in range(4):
+                    a = rng.randint(*span)
+                    b = rng.randint(a, span[1])
+                    assert value_on(a, b) == engine_value(chi, spec, d, (a, b))
+
     def test_degenerate_window_gives_fiber(self):
         model = build_chain_model(0, AdmissibleClassSpec(Fraction(1)), (3, 3))
         line = ChainLineData({}, {3: vec(1, -1)})
@@ -273,6 +291,10 @@ class TestG0N4:
         assert result.value == 0
         assert result.contributing_degrees == ()
 
+    def test_reversed_window_rejected(self):
+        with pytest.raises(DomainError, match="empty chain window"):
+            invariant_g0_n4_boundary(AdmissibleClassSpec(Fraction(1)), window=(3, 1))
+
     def test_fractional_q_is_rejected_with_explanation(self):
         with pytest.raises(DomainError, match="integer component degrees"):
             invariant_g0_n4_boundary(AdmissibleClassSpec(Fraction(1, 2)))
@@ -298,6 +320,20 @@ class TestStabilization:
             report = stabilization_report(spec, "g0n4-boundary")
             assert report.observed <= report.predicted
             assert all(v == report.value for _, v in report.rows[report.observed :])
+
+    def test_g0n4_report_reads_the_invariants_sweep(self):
+        rng = random.Random(47)
+        for _ in range(6):
+            spec = random_spec(rng, integer_q=True, max_evals=2, max_indices=1)
+            report = stabilization_report(spec, "g0n4-boundary")
+            result = invariant_g0_n4_boundary(spec)
+            assert report.observed == result.stabilization_truncation
+            assert report.value == result.value
+            supported = degree_range(spec, 0, 4)
+            assert list(report.rows) == [
+                (t, sum(engine_value(chain_euler_character_cech, spec, d, (-t, t)) for d in supported))
+                for t in range(report.predicted + 4)
+            ]
 
     def test_unknown_case(self):
         with pytest.raises(DomainError):
