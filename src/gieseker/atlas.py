@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .degeneration import (
@@ -25,8 +26,6 @@ from .errors import DomainError
 from .modular_graph import Edge, ModularGraph, validate
 
 Block = tuple[str, ...]
-
-MAX_TWIST_CANDIDATES = 2_000_000
 
 
 @dataclass(frozen=True, eq=True)
@@ -110,10 +109,15 @@ def uniform_bounds(base: ModularGraph, upper: int, lower: int) -> MultidegreeBou
 
 
 def minimal_bounds(base: ModularGraph, n: Union[int, Mapping[Partition, int]]) -> MultidegreeBounds:
-    """The extremal band N_u(R) = N(R) = N_l(R) + 1."""
+    """The extremal band N_u(R) = N(R) = N_l(R) + 1; a per-partition
+    table must give N for every partition of ``nt2b(base)``."""
+    partitions = nt2b(base)
     if isinstance(n, int):
-        return MultidegreeBounds({r: (n, n - 1) for r in nt2b(base)})
-    return MultidegreeBounds({r: (n[r], n[r] - 1) for r in nt2b(base)})
+        return MultidegreeBounds({r: (n, n - 1) for r in partitions})
+    for r in partitions:
+        if r not in n:
+            raise DomainError(f"no N given for the partition {r.blocks}")
+    return MultidegreeBounds({r: (n[r], n[r] - 1) for r in partitions})
 
 
 # -- stabilizers ---------------------------------------------------------
@@ -366,57 +370,88 @@ def twist(
     return out
 
 
+def _reduced_inverse(data: IntersectionData) -> list[list[Fraction]]:
+    """Rational inverse of the intersection matrix with the first vertex's
+    row and column removed.  It gives the twist coefficients of a
+    degree-preserving shift with the first vertex's coefficient fixed at
+    0, which loses nothing: the first column is minus the sum of the
+    others, and the first row's equation follows from the total.
+    Nonsingular on a connected base: its determinant counts spanning
+    trees."""
+    size = len(data.vertices) - 1
+    rows = [
+        [Fraction(x) for x in data.matrix[i + 1][1:]] + [Fraction(int(i == j)) for j in range(size)]
+        for i in range(size)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
+
+
 def band_representatives(
     multidegree: Mapping[str, int],
     base: ModularGraph,
     n: Union[int, Mapping[Partition, int]],
 ) -> list[dict[str, int]]:
     """All twists of a multidegree whose unbubbled stratum lies in the
-    minimal band S_N, searched over a provably sufficient coefficient box.
-    At least one representative always exists; on a two-vertex base the
-    minimal band admits exactly one."""
+    minimal band S_N, ordered by their degree tuples in the vertex order
+    of ``intersection_data(base)``.
+
+    The minimal band pins the plus-block sum of each partition R to k(R)
+    consecutive integers.  The partition splitting off one vertex v thus
+    bounds its degree to a window of deg(v) integers (non-loop edge
+    ends), and the first vertex's degree follows from the total, so the
+    search walks the product of the other vertices' windows.  It keeps a
+    candidate that meets every partition's inequalities and differs from
+    the input by a vector of the twist lattice.  On a two-vertex base the
+    minimal band admits exactly one representative; on larger bases the
+    windows of N can be inconsistent, and then DomainError is raised."""
     data = intersection_data(base)
-    bounds = minimal_bounds(base, n)
-    total = sum(multidegree.values())
-    box = abs(total) + sum(abs(d) for d in multidegree.values()) + 10 * len(base.vertices)
     verts = data.vertices
+    if set(multidegree) != set(verts):
+        raise DomainError("multidegree must be indexed by the base vertices")
+    bounds = minimal_bounds(base, n)
     if len(verts) == 1:
         return [dict(multidegree)]
-    free = verts[1:]
-    if (2 * box + 1) ** len(free) > MAX_TWIST_CANDIDATES:
-        raise DomainError("twist search box too large for this base")
-    # unbubbled-stratum inequalities, unrolled once per partition
-    tests = []
+    total = sum(multidegree.values())
+    # each partition's window for the plus-block sum, and the one-vertex
+    # windows it implies
+    tests, windows = [], {}
     for r in nt2b(base):
         plus = plus_block(r)
-        mask = tuple(v in plus for v in verts)
+        (minus,) = (b for b in r.blocks if b != plus)
         k = edge_count(base, r)
-        tests.append((mask, total + bounds.lower(r) - k + 1, -bounds.upper(r) + 1))
-    base_vector = tuple(multidegree[v] for v in verts)
-    found: dict[tuple[int, ...], dict[str, int]] = {}
-    for combo in itertools.product(range(-box, box + 1), repeat=len(free)):
-        key = tuple(
-            base_vector[i]
-            + sum(data.matrix[i][j + 1] * combo[j] for j in range(len(free)))
-            for i in range(len(verts))
-        )
-        if key in found:
+        low, high = total + bounds.lower(r) - k + 1, total + bounds.upper(r) - 1
+        tests.append((tuple(v in plus for v in verts), low, high))
+        if len(plus) == 1:
+            windows[plus[0]] = range(low, high + 1)
+        if len(minus) == 1:
+            windows[minus[0]] = range(total - high, total - low + 1)
+    inverse = _reduced_inverse(data)
+    start = tuple(multidegree[v] for v in verts[1:])
+    keys = []
+    for rest in itertools.product(*(windows[v] for v in verts[1:])):
+        key = (total - sum(rest),) + rest
+        if any(
+            not low <= sum(d for d, m in zip(key, mask) if m) <= high for mask, low, high in tests
+        ):
             continue
-        ok = True
-        for mask, plus_min, minus_min in tests:
-            p_plus = sum(d for d, m in zip(key, mask) if m)
-            if p_plus < plus_min or total - p_plus < minus_min:
-                ok = False
-                break
-        if ok:
-            found[key] = dict(zip(verts, key))
-    reps = [found[key] for key in sorted(found)]
+        shift = [d - s for d, s in zip(rest, start)]
+        if all(sum(a * x for a, x in zip(row, shift)).denominator == 1 for row in inverse):
+            keys.append(key)
+    reps = [dict(zip(verts, key)) for key in sorted(keys)]
     for rep in reps:  # cross-check through the public band predicate
         defo = make_deformation(base, base.edges(), {(v,): rep[v] for v in base.vertices})
         if not in_band(defo, base, bounds):
             raise AssertionError("twist search produced an out-of-band representative")
     if not reps:
-        raise DomainError("twist search box exhausted without a band representative")
+        raise DomainError("no twist of the multidegree lies in the minimal band")
     if len(verts) == 2 and len(reps) != 1:
         raise AssertionError("minimal band on a two-vertex base must have a unique representative")
     return reps

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -371,10 +372,16 @@ def graph_from_json(data: dict) -> ModularGraph:
         attach = {row["id"]: row["vertex"] for row in data["half_edges"]}
     except (TypeError, KeyError) as exc:
         raise DomainError(f"malformed graph document: {exc}") from exc
+    if not isinstance(data["involution"], list):
+        raise DomainError("involution must be a list of half-edge pairs")
+    if not isinstance(data["tails"], dict):
+        raise DomainError("tails must be an object mapping half-edge ids to labels")
     involution = {h: h for h in half_edges}
     for pair in data["involution"]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DomainError(f"involution entries must be pairs, got {pair!r}")
+        if not isinstance(pair, list) or len(pair) != 2 or not all(
+            isinstance(h, Hashable) for h in pair
+        ):
+            raise DomainError(f"involution entries must be pairs of half-edge ids, got {pair!r}")
         h1, h2 = pair
         involution[h1] = h2
         involution[h2] = h1

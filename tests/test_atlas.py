@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +12,7 @@ from gieseker import (
     MultidegreeBounds,
     Partition,
     band_representatives,
+    edge_count,
     fixed_label,
     in_band,
     intersection_data,
@@ -376,6 +380,184 @@ class TestBandRepresentatives:
         )
         with pytest.raises(DomainError):
             band_representatives({"u": 0, "v": 0, "w": 0}, base, 5)
+
+    @pytest.mark.parametrize("degrees", [{"u": 1, "v": 0}, {"u": 1, "v": 0, "w": 0, "x": 2}])
+    def test_multidegree_keys_must_be_the_vertices(self, degrees):
+        base = ModularGraph.build({"u": 0, "v": 0, "w": 0}, edges=[("u", "v"), ("v", "w")])
+        with pytest.raises(DomainError, match="indexed by the base vertices"):
+            band_representatives(degrees, base, 1)
+
+    def test_partition_table_must_cover_nt2b(self):
+        base = ModularGraph.build({"u": 0, "v": 0, "w": 0}, edges=[("u", "v"), ("v", "w")])
+        table = {r: 1 for r in nt2b(base)}
+        del table[Partition.of([("u", "v"), ("w",)])]
+        missing = r"\(\('u', 'v'\), \('w',\)\)"
+        with pytest.raises(DomainError, match=missing):
+            minimal_bounds(base, table)
+        with pytest.raises(DomainError, match=missing):
+            band_representatives({"u": 1, "v": 0, "w": 0}, base, table)
+
+
+def box_search_reference(multidegree, base, n):
+    """The coefficient-box search that ``band_representatives`` replaced,
+    kept as its reference: every twist coefficient vector with the first
+    vertex's entry 0 and the others in a box of side
+    2 (|total| + sum |d| + 10 |V|) + 1, filtered by the minimal-band
+    inequalities and sorted by degree tuple."""
+    data = intersection_data(base)
+    bounds = minimal_bounds(base, n)
+    total = sum(multidegree.values())
+    box = abs(total) + sum(abs(d) for d in multidegree.values()) + 10 * len(base.vertices)
+    verts = data.vertices
+    if len(verts) == 1:
+        return [dict(multidegree)]
+    free = verts[1:]
+    tests = []
+    for r in nt2b(base):
+        plus = plus_block(r)
+        mask = tuple(v in plus for v in verts)
+        k = edge_count(base, r)
+        tests.append((mask, total + bounds.lower(r) - k + 1, -bounds.upper(r) + 1))
+    base_vector = tuple(multidegree[v] for v in verts)
+    found = {}
+    for combo in itertools.product(range(-box, box + 1), repeat=len(free)):
+        key = tuple(
+            base_vector[i]
+            + sum(data.matrix[i][j + 1] * combo[j] for j in range(len(free)))
+            for i in range(len(verts))
+        )
+        if key in found:
+            continue
+        ok = True
+        for mask, plus_min, minus_min in tests:
+            p_plus = sum(d for d, m in zip(key, mask) if m)
+            if p_plus < plus_min or total - p_plus < minus_min:
+                ok = False
+                break
+        if ok:
+            found[key] = dict(zip(verts, key))
+    if not found:
+        raise DomainError("twist search box exhausted without a band representative")
+    return [found[key] for key in sorted(found)]
+
+
+ORACLE_BASES = [
+    # the three bases of the benchmark's twist-bands workload
+    ({"u": 0, "v": 0, "w": 0}, [("u", "v"), ("v", "w")]),
+    ({"u": 1, "v": 0, "w": 2}, [("u", "v"), ("v", "w"), ("u", "w")]),
+    ({"u": 0, "v": 1, "w": 0}, [("u", "v"), ("u", "v"), ("v", "w"), ("w", "w")]),
+    # a triple edge, and doubled edges with a loop; vertex order not sorted
+    ({"b": 0, "a": 0}, [("a", "b")] * 3),
+    ({"y": 1, "x": 0, "z": 0}, [("x", "y"), ("x", "y"), ("y", "z"), ("y", "z"), ("x", "x")]),
+]
+
+
+def test_band_representatives_match_box_search():
+    rng = random.Random("band-representatives-oracle")
+    outcomes = {"reps": 0, "errors": 0}
+    for case in range(300):
+        genus, edges = ORACLE_BASES[case % len(ORACLE_BASES)]
+        base = ModularGraph.build(genus, edges)
+        d = {v: rng.randint(-10, 10) for v in genus}
+        if case % 3 == 2:
+            n = {r: rng.randint(-2, 5) for r in nt2b(base)}
+        else:
+            n = rng.randint(-2, 5)
+        try:
+            expected = box_search_reference(d, base, n)
+        except DomainError:
+            with pytest.raises(DomainError):
+                band_representatives(d, base, n)
+            outcomes["errors"] += 1
+        else:
+            assert band_representatives(d, base, n) == expected, (case, d, n)
+            outcomes["reps"] += 1
+    assert min(outcomes.values()) >= 50
+
+
+def _is_twist(vertices, edges, delta):
+    """Whether delta is the Laplacian of the edges times an integer vector,
+    by a rational solve of the system with the first vertex's row and
+    column removed (nonsingular on a connected graph)."""
+    index = {v: i for i, v in enumerate(vertices)}
+    size = len(vertices)
+    laplacian = [[0] * size for _ in range(size)]
+    for a, b in edges:
+        if a != b:
+            i, j = index[a], index[b]
+            laplacian[i][j] += 1
+            laplacian[j][i] += 1
+            laplacian[i][i] -= 1
+            laplacian[j][j] -= 1
+    rows = [[Fraction(x) for x in laplacian[i][1:]] + [Fraction(delta[i])] for i in range(1, size)]
+    for col in range(size - 1):
+        pivot = next(r for r in range(col, size - 1) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(size - 1):
+            if r != col:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return all((rows[i][-1] / rows[i][i]).denominator == 1 for i in range(size - 1))
+
+
+class TestBeyondThreeVertices:
+    def test_four_chain_in_milliseconds(self):
+        base = ModularGraph.build(
+            {"p": 0, "q": 0, "r": 0, "s": 0}, edges=[("p", "q"), ("q", "r"), ("r", "s")]
+        )
+        start = time.perf_counter()
+        reps = band_representatives({"p": 3, "q": -1, "r": 0, "s": 2}, base, 1)
+        assert time.perf_counter() - start < 0.1
+        assert reps == [{"p": 4, "q": 0, "r": 0, "s": 0}]
+
+    def test_trees_and_cycles(self):
+        """Each partition's N is drawn so that a random target multidegree
+        lies in the band.  The target is a twist of the input on a tree,
+        and on a cycle exactly when the test's own solve says so; half of
+        the inputs are drawn as twists of the target."""
+        rng = random.Random("band-representatives-trees-cycles")
+        found = {"tree": 0, "cycle": 0}
+        for case in range(120):
+            names = [f"v{i}" for i in range(rng.choice((4, 5)))]
+            shape = ("tree", "cycle")[case % 2]
+            if shape == "tree":
+                edges = [(names[rng.randrange(i)], names[i]) for i in range(1, len(names))]
+            else:
+                order = rng.sample(names, len(names))
+                edges = [(order[i - 1], order[i]) for i in range(len(order))]
+            base = ModularGraph.build({v: 0 for v in names}, edges)
+            vertices = list(base.vertices)
+            d = {v: rng.randint(-10, 10) for v in vertices}
+            total = sum(d.values())
+            target = {v: rng.randint(-4, 4) for v in vertices[1:]}
+            target[vertices[0]] = total - sum(target.values())
+            if rng.random() < 0.5:  # make the target a twist on cycles too
+                coefficients = {v: rng.randint(-3, 3) for v in vertices}
+                d = twist(target, coefficients, intersection_data(base))
+            windows, table = {}, {}
+            for size in range(1, len(names)):
+                for rest in itertools.combinations(sorted(names)[1:], size - 1):
+                    plus = {sorted(names)[0], *rest}
+                    k = sum(1 for a, b in edges if (a in plus) != (b in plus))
+                    n_r = sum(target[v] for v in plus) - total + rng.randint(1, k)
+                    windows[frozenset(plus)] = (total + n_r - k, total + n_r - 1)
+                    table[Partition.of([plus, set(names) - plus])] = n_r
+            target_is_twist = _is_twist(vertices, edges, [target[v] - d[v] for v in vertices])
+            try:
+                reps = band_representatives(d, base, table)
+            except DomainError:
+                assert not target_is_twist
+                continue
+            found[shape] += 1
+            for rep in reps:
+                assert sum(rep.values()) == total
+                assert _is_twist(vertices, edges, [rep[v] - d[v] for v in vertices])
+                for plus, (low, high) in windows.items():
+                    assert low <= sum(rep[v] for v in plus) <= high
+            assert (target in reps) == target_is_twist
+            if shape == "tree":
+                assert reps == [target]
+        assert min(found.values()) >= 20
 
 
 class TestMinimalBandStabilizers:

@@ -78,6 +78,25 @@ def test_malformed_json_exits_one(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("tails", []), ("involution", 5), ("involution", [[["x"], "h"]])],
+    ids=["tails-not-object", "involution-not-list", "unhashable-pair-member"],
+)
+def test_malformed_graph_document_exits_one(capsys, tmp_path, field, value):
+    doc = {
+        "vertices": [{"id": "a", "genus": 0}],
+        "half_edges": [{"id": "h", "vertex": "a"}],
+        "involution": [],
+        "tails": {"h": "1"},
+    }
+    doc[field] = value
+    code, out, err = run(capsys, ["validate", write(tmp_path, "graph.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_spec_key_exits_one(capsys, tmp_path, point_file, base_file):
     spec = write(tmp_path, "spec.json", {"q": 1, "surprise": True})
     code, _, err = run(capsys, ["weights", "--spec", spec, "--type", point_file, "--base", base_file])
