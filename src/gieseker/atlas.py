@@ -19,11 +19,13 @@ from typing import Iterable, Mapping, Union
 from .degeneration import (
     DegeneracyType,
     DeformationOfBase,
+    component_genus,
     deformation_of,
+    induced_blocks,
     make_deformation,
 )
 from .errors import DomainError
-from .modular_graph import Edge, ModularGraph, validate
+from .modular_graph import Edge, ModularGraph, require_valid
 
 Block = tuple[str, ...]
 
@@ -110,10 +112,14 @@ def uniform_bounds(base: ModularGraph, upper: int, lower: int) -> MultidegreeBou
 
 def minimal_bounds(base: ModularGraph, n: Union[int, Mapping[Partition, int]]) -> MultidegreeBounds:
     """The extremal band N_u(R) = N(R) = N_l(R) + 1; a per-partition
-    table must give N for every partition of ``nt2b(base)``."""
+    table must give N for every partition of ``nt2b(base)`` and no other."""
     partitions = nt2b(base)
     if isinstance(n, int):
         return MultidegreeBounds({r: (n, n - 1) for r in partitions})
+    known = set(partitions)
+    for r in n:
+        if r not in known:
+            raise DomainError(f"N given for {r.blocks}, not a non-trivial 2-block partition of the base")
     for r in partitions:
         if r not in n:
             raise DomainError(f"no N given for the partition {r.blocks}")
@@ -126,44 +132,22 @@ def minimal_bounds(base: ModularGraph, n: Union[int, Mapping[Partition, int]]) -
 def stabilizer_partition(defo: DeformationOfBase, bubbled: Iterable[Edge] = None) -> Partition:
     """Join base vertices connected by a path avoiding bubble vertices:
     vertices in one deformed component, or linked by an unbubbled kept
-    node, rescale together."""
+    node, rescale together.  The dropped and the unbubbled kept edges are
+    all edges but the bubbled ones, so these are the blocks induced by
+    keeping just the bubbled edges."""
     if bubbled is None:
         bubbled = defo.bubbled_edges
     bubbled = set(bubbled)
     if not bubbled <= set(defo.kept_edges):
         raise DomainError("bubbled edges must be kept edges of the deformation")
-    base = defo.base
-    parent = {v: v for v in base.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(v, w):
-        parent[find(v)] = find(w)
-
-    for block in defo.blocks:
-        for v in block[1:]:
-            union(block[0], v)
-    for e in defo.kept_edges:
-        if e not in bubbled:
-            v1, v2 = base.edge_endpoints(e)
-            union(v1, v2)
-    groups: dict[str, list[str]] = {}
-    for v in base.vertices:
-        groups.setdefault(find(v), []).append(v)
-    return Partition.of(groups.values())
+    return Partition.of(induced_blocks(defo.base, bubbled))
 
 
 def nt2b(base: ModularGraph) -> list[Partition]:
     """All non-trivial 2-block partitions of the base vertex set, in a
     deterministic order (the block containing the smallest id comes
     first, partitions ordered by that block)."""
-    report = validate(base)
-    if not report.ok:
-        raise DomainError("invalid base graph: " + "; ".join(report.errors))
+    require_valid(base, "base graph")
     verts = sorted(base.vertices)
     if len(verts) < 2:
         return []
@@ -336,9 +320,7 @@ class IntersectionData:
 
 
 def intersection_data(base: ModularGraph) -> IntersectionData:
-    report = validate(base)
-    if not report.ok:
-        raise DomainError("invalid base graph: " + "; ".join(report.errors))
+    require_valid(base, "base graph")
     verts = tuple(base.vertices)
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
@@ -458,17 +440,6 @@ def band_representatives(
 
 
 # -- block geometry helpers -------------------------------------------------
-
-
-def component_genus(defo: DeformationOfBase) -> dict[Block, int]:
-    """Genus of each deformed component (dropped internal edges add to it)."""
-    base = defo.base
-    dropped = [e for e in base.edges() if e not in set(defo.kept_edges)]
-    out = {}
-    for block in defo.blocks:
-        internal = [e for e in dropped if set(base.edge_endpoints(e)) <= set(block)]
-        out[block] = sum(base.genus[v] for v in block) + len(internal) - len(block) + 1
-    return out
 
 
 def block_effective_genus(defo: DeformationOfBase, r: Partition) -> dict[Block, int]:

@@ -20,9 +20,9 @@ SPEC_KEYS = {"q", "evaluations", "indices", "genus", "markings", "total_degree"}
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
@@ -150,8 +150,13 @@ def _load_bounds(args, base) -> atlas.MultidegreeBounds:
             except TypeError as exc:
                 raise DomainError(f"bounds blocks must be lists of vertex ids: {exc}") from exc
             table[r] = (_integer(row["upper"], "bounds upper"), _integer(row["lower"], "bounds lower"))
-        missing = set(atlas.nt2b(base)) - set(table)
-        if missing:
+        partitions = set(atlas.nt2b(base))
+        for r in table:
+            if r not in partitions:
+                raise DomainError(
+                    f"bounds given for {r.blocks}, not a non-trivial 2-block partition of the base"
+                )
+        if partitions - set(table):
             raise DomainError("bounds document must cover every non-trivial 2-block partition")
         return atlas.MultidegreeBounds(table)
     if args.upper is None or args.lower is None:

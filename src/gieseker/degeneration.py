@@ -14,7 +14,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DomainError
 from .modular_graph import (
@@ -23,8 +23,9 @@ from .modular_graph import (
     canonical_key,
     graph_from_json,
     graph_to_json,
+    require_valid,
     special_point_count,
-    validate,
+    stable_vertex,
 )
 
 MAX_CLOSURE_STRATA = 50_000
@@ -46,9 +47,7 @@ class DegeneracyType:
 
 
 def _require_labelled(dt: DegeneracyType) -> None:
-    report = validate(dt.graph)
-    if not report.ok:
-        raise DomainError("invalid graph: " + "; ".join(report.errors))
+    require_valid(dt.graph)
     if set(dt.multidegree) != set(dt.graph.vertices):
         raise DomainError("multidegree not defined on exactly the vertex set")
 
@@ -265,8 +264,7 @@ def gieseker_bubble(dt: DegeneracyType, edge: Edge, side: str) -> DegeneracyType
         raise DomainError(f"unknown edge {edge}")
     v1, v2 = g.edge_endpoints(edge)
     for v in {v1, v2}:
-        sp = special_point_count(g, v)
-        if (g.genus[v] == 0 and sp < 3) or (g.genus[v] == 1 and sp < 1):
+        if not stable_vertex(g, v):
             raise DomainError(f"edge endpoint {v} is not a stable vertex")
     if side not in (v1, v2):
         raise DomainError(f"side {side} is not an endpoint of {edge}")
@@ -315,11 +313,7 @@ def _elementary_moves(dt: DegeneracyType, band: tuple[int, int]):
     if lo <= 1 <= hi:
         for e in g.edges():
             v1, v2 = g.edge_endpoints(e)
-            if any(
-                (g.genus[v] == 0 and special_point_count(g, v) < 3)
-                or (g.genus[v] == 1 and special_point_count(g, v) < 1)
-                for v in {v1, v2}
-            ):
+            if not all(stable_vertex(g, v) for v in {v1, v2}):
                 continue
             for side in sorted({v1, v2}):
                 if dt.multidegree[side] - 1 >= lo:
@@ -405,8 +399,10 @@ class DeformationOfBase:
         return sum(self.block_degrees.values()) + len(self.bubbled_edges)
 
 
-def _dropped_components(base: ModularGraph, kept: Sequence[Edge]) -> tuple[tuple[str, ...], ...]:
-    dropped = [e for e in base.edges() if e not in set(kept)]
+def induced_blocks(base: ModularGraph, kept_edges: Iterable[Edge]) -> tuple[tuple[str, ...], ...]:
+    """Partition forced by a choice of kept edges: the components of the
+    dropped ones (vertices merge only along smoothed nodes)."""
+    kept = set(kept_edges)
     parent = {v: v for v in base.vertices}
 
     def find(v):
@@ -415,19 +411,14 @@ def _dropped_components(base: ModularGraph, kept: Sequence[Edge]) -> tuple[tuple
             v = parent[v]
         return v
 
-    for e in dropped:
-        v1, v2 = base.edge_endpoints(e)
-        parent[find(v1)] = find(v2)
+    for e in base.edges():
+        if e not in kept:
+            v1, v2 = base.edge_endpoints(e)
+            parent[find(v1)] = find(v2)
     groups: dict[str, list[str]] = {}
     for v in sorted(base.vertices):
         groups.setdefault(find(v), []).append(v)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-
-
-def induced_blocks(base: ModularGraph, kept_edges: Iterable[Edge]) -> tuple[tuple[str, ...], ...]:
-    """Partition forced by a choice of kept edges: the components of the
-    dropped ones (vertices merge only along smoothed nodes)."""
-    return _dropped_components(base, tuple(kept_edges))
 
 
 def make_deformation(
@@ -442,13 +433,25 @@ def make_deformation(
     kept = tuple(sorted(set(kept_edges)))
     if not set(kept) <= set(base.edges()):
         raise DomainError("kept edges must be edges of the base")
-    blocks = _dropped_components(base, kept)
+    blocks = induced_blocks(base, kept)
     if set(block_degrees) != set(blocks):
         raise DomainError("block degrees must be indexed by the induced blocks")
     bubbled = tuple(sorted(set(bubbled_edges)))
     if not set(bubbled) <= set(kept):
         raise DomainError("bubbled edges must be kept edges")
     return DeformationOfBase(base, kept, blocks, dict(block_degrees), bubbled)
+
+
+def component_genus(defo: DeformationOfBase) -> dict[tuple[str, ...], int]:
+    """Genus of each deformed component (dropped internal edges add to it)."""
+    base = defo.base
+    kept = set(defo.kept_edges)
+    dropped = [e for e in base.edges() if e not in kept]
+    out = {}
+    for block in defo.blocks:
+        internal = [e for e in dropped if set(base.edge_endpoints(e)) <= set(block)]
+        out[block] = sum(base.genus[v] for v in block) + len(internal) - len(block) + 1
+    return out
 
 
 def quotient_graph(defo: DeformationOfBase) -> tuple[ModularGraph, Mapping[str, str]]:
@@ -458,11 +461,7 @@ def quotient_graph(defo: DeformationOfBase) -> tuple[ModularGraph, Mapping[str, 
     base = defo.base
     block_name = {block: block[0] for block in defo.blocks}
     vmap = {v: block_name[defo.block_of(v)] for v in base.vertices}
-    dropped = [e for e in base.edges() if e not in set(defo.kept_edges)]
-    genus = {}
-    for block in defo.blocks:
-        internal = [e for e in dropped if set(base.edge_endpoints(e)) <= set(block)]
-        genus[block_name[block]] = sum(base.genus[v] for v in block) + len(internal) - len(block) + 1
+    genus = {block_name[block]: gb for block, gb in component_genus(defo).items()}
     halves = [h for h in base.half_edges if h in base.tails or any(h in e for e in defo.kept_edges)]
     graph = ModularGraph(
         tuple(block_name[b] for b in defo.blocks),
@@ -520,15 +519,13 @@ def find_isomorphism(g1: ModularGraph, g2: ModularGraph):
 def deformation_of(dt: DegeneracyType, base: ModularGraph) -> DeformationOfBase:
     """Express a Gieseker type over ``base``: contract its bubbles, then
     search for kept edges whose quotient matches the stable model."""
-    report = validate(base)
-    if not report.ok:
-        raise DomainError("invalid base graph: " + "; ".join(report.errors))
+    require_valid(base, "base graph")
     st = stabilize(dt)
     markers = {marker for marker in st.contraction.values() if isinstance(marker, tuple)}
     base_edges = base.edges()
     for r in range(len(base_edges), -1, -1):
         for kept in itertools.combinations(base_edges, r):
-            blocks = _dropped_components(base, kept)
+            blocks = induced_blocks(base, kept)
             defo0 = DeformationOfBase(base, kept, blocks, {b: 0 for b in blocks}, ())
             q, _ = quotient_graph(defo0)
             match = find_isomorphism(q, st.graph)

@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import DomainError
@@ -33,6 +33,9 @@ class ModularGraph:
     ``attach`` maps half-edge id to its vertex, ``involution`` is the node
     pairing (tails are its fixed points), and ``tails`` maps each fixed
     half-edge to its marked-point label.
+
+    The mappings must not change after construction: ``validate`` checks a
+    graph once and keeps the report on it for every later call.
     """
 
     vertices: tuple[str, ...]
@@ -41,6 +44,7 @@ class ModularGraph:
     attach: Mapping[str, str]
     involution: Mapping[str, str]
     tails: Mapping[str, str]
+    _report: Optional["ValidationReport"] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -119,7 +123,14 @@ class ValidationReport:
 
 
 def validate(g: ModularGraph) -> ValidationReport:
-    """Check every structural invariant; total, never raises."""
+    """Check every structural invariant; total, never raises.  The first
+    call walks the graph and stores the report on it."""
+    if g._report is None:
+        object.__setattr__(g, "_report", _check_structure(g))
+    return g._report
+
+
+def _check_structure(g: ModularGraph) -> ValidationReport:
     errors: list[str] = []
     if len(set(g.vertices)) != len(g.vertices):
         errors.append("duplicate vertex ids")
@@ -167,15 +178,16 @@ def validate(g: ModularGraph) -> ValidationReport:
     return ValidationReport(tuple(errors))
 
 
-def _require_valid(g: ModularGraph) -> None:
+def require_valid(g: ModularGraph, what: str = "graph") -> None:
+    """Raise DomainError listing the violations of an invalid graph."""
     report = validate(g)
     if not report.ok:
-        raise DomainError("invalid graph: " + "; ".join(report.errors))
+        raise DomainError(f"invalid {what}: " + "; ".join(report.errors))
 
 
 def total_genus(g: ModularGraph) -> int:
     """Sum of vertex genera plus the first Betti number of the graph."""
-    _require_valid(g)
+    require_valid(g)
     return sum(g.genus.values()) + len(g.edges()) - len(g.vertices) + 1
 
 
@@ -186,16 +198,16 @@ def special_point_count(g: ModularGraph, v: str) -> int:
     return len(g.halves_at(v))
 
 
+def stable_vertex(g: ModularGraph, v: str) -> bool:
+    """Whether ``v`` is stable: >= 3 special points at genus 0, >= 1 at genus 1."""
+    gv = g.genus[v]
+    return gv > 1 or special_point_count(g, v) >= (3 if gv == 0 else 1)
+
+
 def is_stable(g: ModularGraph) -> bool:
     """Every genus-0 vertex carries >= 3 special points, genus-1 >= 1."""
-    _require_valid(g)
-    for v in g.vertices:
-        sp = special_point_count(g, v)
-        if g.genus[v] == 0 and sp < 3:
-            return False
-        if g.genus[v] == 1 and sp < 1:
-            return False
-    return True
+    require_valid(g)
+    return all(stable_vertex(g, v) for v in g.vertices)
 
 
 # -- canonical form ----------------------------------------------------
@@ -260,7 +272,7 @@ def _canonical_order(
     max_vertices: int = MAX_CANONICAL_VERTICES,
 ):
     """Minimal encoding and the vertex order achieving it."""
-    _require_valid(g)
+    require_valid(g)
     if len(g.vertices) > max_vertices:
         raise DomainError(
             f"canonical form limited to {max_vertices} vertices, got {len(g.vertices)}"

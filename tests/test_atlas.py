@@ -25,6 +25,7 @@ from gieseker import (
     twist,
     uniform_bounds,
 )
+from gieseker.degeneration import induced_blocks
 from helpers import enumerate_deformations, random_graph
 
 
@@ -76,6 +77,52 @@ class TestStabilizerPartition:
             bubbled_edges=base.edges()[:1],
         )
         assert stabilizer_partition(defo).blocks == (("a", "b"),)
+
+
+def union_find_stabilizer_partition(defo, bubbled):
+    """Reference: join each deformed component, then the ends of every
+    unbubbled kept edge, with a union-find over the base vertices."""
+    base = defo.base
+    parent = {v: v for v in base.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(v, w):
+        parent[find(v)] = find(w)
+
+    for block in defo.blocks:
+        for v in block[1:]:
+            union(block[0], v)
+    for e in defo.kept_edges:
+        if e not in bubbled:
+            v1, v2 = base.edge_endpoints(e)
+            union(v1, v2)
+    groups = {}
+    for v in base.vertices:
+        groups.setdefault(find(v), []).append(v)
+    return Partition.of(groups.values())
+
+
+def test_stabilizer_partition_matches_union_find():
+    rng = random.Random(8)
+    joined = 0  # cases where an unbubbled kept edge joins two blocks
+    for _ in range(300):
+        base = random_graph(rng, max_vertices=6, max_extra_edges=4, max_loops=4, max_tails=0)
+        edges = base.edges()
+        kept = [e for e in edges if rng.random() < 0.6]
+        bubbled = [e for e in kept if rng.random() < 0.5]
+        blocks = induced_blocks(base, kept)
+        defo = make_deformation(base, kept, {b: 0 for b in blocks}, bubbled)
+        expected = union_find_stabilizer_partition(defo, set(bubbled))
+        assert stabilizer_partition(defo) == expected
+        joined += expected.blocks != defo.blocks
+        subset = [e for e in bubbled if rng.random() < 0.5]
+        assert stabilizer_partition(defo, subset) == union_find_stabilizer_partition(defo, set(subset))
+    assert joined >= 50
 
 
 class TestNT2B:
@@ -396,6 +443,16 @@ class TestBandRepresentatives:
             minimal_bounds(base, table)
         with pytest.raises(DomainError, match=missing):
             band_representatives({"u": 1, "v": 0, "w": 0}, base, table)
+
+    def test_partition_table_names_only_nt2b(self):
+        base = two_vertex_base()
+        table = {r: 2 for r in nt2b(base)}
+        table[Partition.of([("x",), ("y",)])] = 7
+        extra = r"\(\('x',\), \('y',\)\)"
+        with pytest.raises(DomainError, match=extra):
+            minimal_bounds(base, table)
+        with pytest.raises(DomainError, match=extra):
+            band_representatives({"a": 7, "b": -4}, base, table)
 
 
 def box_search_reference(multidegree, base, n):

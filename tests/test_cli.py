@@ -174,6 +174,35 @@ def test_band_with_bounds_file(capsys, tmp_path, point_file, base_file):
     assert payload["tails"][0]["membership"] == "none"
 
 
+def test_bounds_file_naming_a_foreign_partition_exits_one(capsys, tmp_path, point_file, base_file):
+    bounds = write(
+        tmp_path,
+        "bounds.json",
+        [
+            {"blocks": [["a"], ["b"]], "upper": 5, "lower": 0},
+            {"blocks": [["x"], ["y"]], "upper": 7, "lower": 6},
+        ],
+    )
+    code, out, err = run(
+        capsys, ["band", "--type", point_file, "--base", base_file, "--bounds", bounds]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "(('x',), ('y',))" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable-bytes"])
+def test_unreadable_document_exits_one(capsys, tmp_path, kind):
+    path = tmp_path
+    if kind == "undecodable-bytes":
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}")
+
+
 def test_twist_lattice(capsys, base_file):
     code, out, _ = run(capsys, ["twist-lattice", "--base", base_file])
     assert code == 0

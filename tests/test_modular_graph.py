@@ -10,10 +10,12 @@ from gieseker import (
     graph_from_json,
     graph_to_json,
     is_stable,
+    nt2b,
     special_point_count,
     total_genus,
     validate,
 )
+from gieseker import modular_graph
 from helpers import brute_isomorphic, random_graph, relabel
 
 
@@ -60,6 +62,37 @@ def test_total_genus_rejects_invalid():
     g = ModularGraph(("a", "b"), {"a": 0, "b": 0}, (), {}, {}, {})
     with pytest.raises(DomainError):
         total_genus(g)
+
+
+def test_stored_report_is_not_part_of_equality():
+    checked = ModularGraph.build({"a": 0, "b": 1}, edges=[("a", "b")], tails={"1": "a", "2": "a"})
+    fresh = ModularGraph.build({"a": 0, "b": 1}, edges=[("a", "b")], tails={"1": "a", "2": "a"})
+    assert validate(checked).ok
+    assert checked == fresh
+    assert repr(checked) == repr(fresh)
+
+
+def test_structure_is_walked_once_per_graph(monkeypatch):
+    walks = []
+    walk = modular_graph._check_structure
+    monkeypatch.setattr(modular_graph, "_check_structure", lambda g: walks.append(g) or walk(g))
+    g = ModularGraph.build({"v": 1}, edges=[("v", "v")])
+    validate(g)
+    validate(g)
+    assert total_genus(g) == 2
+    assert walks == [g]
+
+
+def test_invalid_graph_rejected_on_every_call():
+    g = ModularGraph(("a", "b"), {"a": 0, "b": 0}, (), {}, {}, {})
+    first = validate(g)
+    for _ in range(3):
+        assert validate(g) == first
+        assert not validate(g).ok
+        with pytest.raises(DomainError, match="invalid graph: disconnected"):
+            total_genus(g)
+        with pytest.raises(DomainError, match="invalid base graph: disconnected"):
+            nt2b(g)
 
 
 def test_special_point_count():
