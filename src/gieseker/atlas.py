@@ -48,12 +48,6 @@ class Partition:
                 return block
         raise DomainError(f"vertex {v} not covered by the partition")
 
-    def index_of(self, v: str) -> int:
-        for i, block in enumerate(self.blocks):
-            if v in block:
-                return i
-        raise DomainError(f"vertex {v} not covered by the partition")
-
 
 def _check_partition(base: ModularGraph, partition: Partition) -> None:
     members = [v for b in partition.blocks for v in b]

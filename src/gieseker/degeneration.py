@@ -21,10 +21,11 @@ from .modular_graph import (
     Edge,
     ModularGraph,
     canonical_key,
+    components,
+    contract,
     graph_from_json,
     graph_to_json,
     require_valid,
-    special_point_count,
     stable_vertex,
 )
 
@@ -71,34 +72,35 @@ def classify_gieseker(dt: DegeneracyType) -> GiesekerVerdict:
     g = dt.graph
     reasons: list[str] = []
     bubbles: set[str] = set()
+    halves: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for h, v in g.attach.items():
+        halves[v].append(h)
     for v in g.vertices:
-        if g.genus[v] != 0:
-            continue
-        sp = special_point_count(g, v)
-        if sp < 2:
-            reasons.append(f"genus-0 vertex {v} has fewer than 2 special points")
-        elif sp == 2:
-            halves = g.halves_at(v)
-            if any(h in g.tails for h in halves):
-                reasons.append(f"unstable vertex {v} carries a marked point (bubbles only at nodes)")
-            elif g.involution[halves[0]] == halves[1]:
-                reasons.append(f"unstable vertex {v} closes up into a self-edge")
-            elif dt.multidegree[v] != 1:
-                reasons.append(f"bubble degree != 1 at vertex {v}")
-            else:
-                bubbles.add(v)
+        at = halves[v]
+        if g.genus[v] == 0:
+            if len(at) < 2:
+                reasons.append(f"genus-0 vertex {v} has fewer than 2 special points")
+            elif len(at) == 2:
+                if any(h in g.tails for h in at):
+                    reasons.append(
+                        f"unstable vertex {v} carries a marked point (bubbles only at nodes)"
+                    )
+                elif g.involution[at[0]] == at[1]:
+                    reasons.append(f"unstable vertex {v} closes up into a self-edge")
+                elif dt.multidegree[v] != 1:
+                    reasons.append(f"bubble degree != 1 at vertex {v}")
+                else:
+                    bubbles.add(v)
+        elif g.genus[v] == 1 and not at:
+            # Contracting bubbles keeps every other vertex's special-point
+            # count, so the contraction is stable when each non-bubble vertex
+            # is.  Only a one-vertex graph has a vertex without special
+            # points, so this reason never precedes another.
+            reasons.append(f"contraction unstable: genus-1 vertex {v} has no special point")
     for e in g.edges():
         v1, v2 = g.edge_endpoints(e)
         if v1 in bubbles and v2 in bubbles:
             reasons.append(f"adjacent bubbles {v1}, {v2}")
-    # Contracting bubbles keeps every other vertex's special-point count, so
-    # stability of the contraction means stability of each non-bubble vertex.
-    for v in g.vertices:
-        if v in bubbles:
-            continue
-        sp = special_point_count(g, v)
-        if g.genus[v] == 1 and sp < 1:
-            reasons.append(f"contraction unstable: genus-1 vertex {v} has no special point")
     return GiesekerVerdict(not reasons, frozenset(bubbles), tuple(reasons))
 
 
@@ -146,16 +148,7 @@ def deform_resolve_self(dt: DegeneracyType, edge: Edge) -> DegeneracyType:
     g = dt.graph
     if edge not in g.edges() or not g.is_self_edge(edge):
         raise DomainError(f"{edge} is not a self-edge")
-    v = g.attach[edge[0]]
-    keep = [h for h in g.half_edges if h not in edge]
-    graph = ModularGraph(
-        g.vertices,
-        {u: gu + (1 if u == v else 0) for u, gu in g.genus.items()},
-        tuple(keep),
-        {h: g.attach[h] for h in keep},
-        {h: g.involution[h] for h in keep},
-        dict(g.tails),
-    )
+    graph, _ = contract(g, [edge])
     return DegeneracyType(graph, dict(dt.multidegree))
 
 
@@ -166,20 +159,10 @@ def deform_resolve_split(dt: DegeneracyType, edge: Edge) -> DegeneracyType:
     g = dt.graph
     if edge not in g.edges() or g.is_self_edge(edge):
         raise DomainError(f"{edge} is not a splitting edge")
-    v1, v2 = sorted(g.edge_endpoints(edge))
-    keep = [h for h in g.half_edges if h not in edge]
-    genus = {u: gu for u, gu in g.genus.items() if u != v2}
-    genus[v1] = g.genus[v1] + g.genus[v2]
-    degrees = {u: d for u, d in dt.multidegree.items() if u != v2}
-    degrees[v1] = dt.multidegree[v1] + dt.multidegree[v2]
-    graph = ModularGraph(
-        tuple(u for u in g.vertices if u != v2),
-        genus,
-        tuple(keep),
-        {h: (v1 if g.attach[h] == v2 else g.attach[h]) for h in keep},
-        {h: g.involution[h] for h in keep},
-        dict(g.tails),
-    )
+    graph, vmap = contract(g, [edge])
+    degrees = dict.fromkeys(graph.vertices, 0)
+    for v, d in dt.multidegree.items():
+        degrees[vmap[v]] += d
     return DegeneracyType(graph, degrees)
 
 
@@ -388,12 +371,6 @@ class DeformationOfBase:
     block_degrees: Mapping[tuple[str, ...], int]
     bubbled_edges: tuple[Edge, ...]
 
-    def block_of(self, v: str) -> tuple[str, ...]:
-        for block in self.blocks:
-            if v in block:
-                return block
-        raise DomainError(f"vertex {v} not covered by the partition")
-
     @property
     def total_degree(self) -> int:
         return sum(self.block_degrees.values()) + len(self.bubbled_edges)
@@ -403,22 +380,8 @@ def induced_blocks(base: ModularGraph, kept_edges: Iterable[Edge]) -> tuple[tupl
     """Partition forced by a choice of kept edges: the components of the
     dropped ones (vertices merge only along smoothed nodes)."""
     kept = set(kept_edges)
-    parent = {v: v for v in base.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in base.edges():
-        if e not in kept:
-            v1, v2 = base.edge_endpoints(e)
-            parent[find(v1)] = find(v2)
-    groups: dict[str, list[str]] = {}
-    for v in sorted(base.vertices):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    blocks = components(base, (e for e in base.edges() if e not in kept))
+    return tuple(sorted(tuple(sorted(block)) for block in blocks))
 
 
 def make_deformation(
@@ -442,36 +405,19 @@ def make_deformation(
     return DeformationOfBase(base, kept, blocks, dict(block_degrees), bubbled)
 
 
+def quotient_graph(defo: DeformationOfBase) -> tuple[ModularGraph, Mapping[str, str]]:
+    """Stable model of the deformation (no bubbles): the base with its
+    dropped edges contracted, so vertices are the blocks (named by their
+    smallest member, in base order), kept edges survive with their base
+    half-edge ids, and dropped edges internal to a block feed its genus."""
+    kept = set(defo.kept_edges)
+    return contract(defo.base, [e for e in defo.base.edges() if e not in kept])
+
+
 def component_genus(defo: DeformationOfBase) -> dict[tuple[str, ...], int]:
     """Genus of each deformed component (dropped internal edges add to it)."""
-    base = defo.base
-    kept = set(defo.kept_edges)
-    dropped = [e for e in base.edges() if e not in kept]
-    out = {}
-    for block in defo.blocks:
-        internal = [e for e in dropped if set(base.edge_endpoints(e)) <= set(block)]
-        out[block] = sum(base.genus[v] for v in block) + len(internal) - len(block) + 1
-    return out
-
-
-def quotient_graph(defo: DeformationOfBase) -> tuple[ModularGraph, Mapping[str, str]]:
-    """Stable model of the deformation (no bubbles): vertices are the
-    blocks (named by their smallest member), kept edges survive with their
-    base half-edge ids, dropped edges internal to a block feed its genus."""
-    base = defo.base
-    block_name = {block: block[0] for block in defo.blocks}
-    vmap = {v: block_name[defo.block_of(v)] for v in base.vertices}
-    genus = {block_name[block]: gb for block, gb in component_genus(defo).items()}
-    halves = [h for h in base.half_edges if h in base.tails or any(h in e for e in defo.kept_edges)]
-    graph = ModularGraph(
-        tuple(block_name[b] for b in defo.blocks),
-        genus,
-        tuple(halves),
-        {h: vmap[base.attach[h]] for h in halves},
-        {h: (base.involution[h] if base.involution[h] in halves else h) for h in halves},
-        dict(base.tails),
-    )
-    return graph, vmap
+    graph, vmap = quotient_graph(defo)
+    return {block: graph.genus[vmap[block[0]]] for block in defo.blocks}
 
 
 def find_isomorphism(g1: ModularGraph, g2: ModularGraph):
@@ -522,20 +468,19 @@ def deformation_of(dt: DegeneracyType, base: ModularGraph) -> DeformationOfBase:
     require_valid(base, "base graph")
     st = stabilize(dt)
     markers = {marker for marker in st.contraction.values() if isinstance(marker, tuple)}
-    base_edges = base.edges()
-    for r in range(len(base_edges), -1, -1):
-        for kept in itertools.combinations(base_edges, r):
-            blocks = induced_blocks(base, kept)
-            defo0 = DeformationOfBase(base, kept, blocks, {b: 0 for b in blocks}, ())
-            q, _ = quotient_graph(defo0)
-            match = find_isomorphism(q, st.graph)
-            if match is None:
-                continue
-            vmap, emap = match
-            block_name = {block: block[0] for block in blocks}
-            degrees = {b: dt.multidegree[vmap[block_name[b]]] for b in blocks}
-            bubbled = tuple(sorted(e for e in kept if emap[e] in markers))
-            return DeformationOfBase(base, tuple(sorted(kept)), blocks, degrees, bubbled)
+    # The quotient keeps exactly the kept edges, and an isomorphism needs
+    # as many edges as the stable model has.
+    for kept in itertools.combinations(base.edges(), len(st.graph.edges())):
+        blocks = induced_blocks(base, kept)
+        defo0 = DeformationOfBase(base, kept, blocks, {b: 0 for b in blocks}, ())
+        q, _ = quotient_graph(defo0)
+        match = find_isomorphism(q, st.graph)
+        if match is None:
+            continue
+        vmap, emap = match
+        degrees = {b: dt.multidegree[vmap[b[0]]] for b in blocks}
+        bubbled = tuple(sorted(e for e in kept if emap[e] in markers))
+        return DeformationOfBase(base, tuple(sorted(kept)), blocks, degrees, bubbled)
     raise DomainError("not expressible as a deformation of the base")
 
 

@@ -160,19 +160,8 @@ def _check_structure(g: ModularGraph) -> ValidationReport:
                 errors.append("tail labels not a bijection from the involution fixed points")
             elif len(set(g.tails.values())) != len(g.tails):
                 errors.append("tail labels not distinct")
-    if not errors and g.vertices:
-        seen = {g.vertices[0]}
-        frontier = [g.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for h in g.half_edges:
-                if g.attach[h] == v:
-                    w = g.attach[g.involution[h]]
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-        if seen != vset:
-            errors.append("disconnected")
+    if not errors and len(components(g, g.involution.items())) > 1:
+        errors.append("disconnected")
     if not g.vertices:
         errors.append("empty vertex set")
     return ValidationReport(tuple(errors))
@@ -183,6 +172,63 @@ def require_valid(g: ModularGraph, what: str = "graph") -> None:
     report = validate(g)
     if not report.ok:
         raise DomainError(f"invalid {what}: " + "; ".join(report.errors))
+
+
+# -- graph surgery -----------------------------------------------------
+
+
+def components(g: ModularGraph, pairs: Iterable[tuple[str, str]]) -> tuple[tuple[str, ...], ...]:
+    """Vertex sets of the connected components of the graph on ``g``'s
+    vertices whose edges are the half-edge pairs ``pairs``.  Each block
+    starts with its first vertex in ``g.vertices`` order, and the blocks
+    come in that order.  Vertex ids are never ordered, so ids of mixed
+    types are fine."""
+    adjacent: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for h, j in pairs:
+        v, w = g.attach[h], g.attach[j]
+        if v != w:
+            adjacent[v].append(w)
+            adjacent[w].append(v)
+    seen: set[str] = set()
+    blocks = []
+    for v in g.vertices:
+        if v not in seen:
+            seen.add(v)
+            block = [v]
+            for u in block:  # the block grows while it is walked
+                for w in adjacent[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        block.append(w)
+            blocks.append(tuple(block))
+    return tuple(blocks)
+
+
+def contract(g: ModularGraph, edges: Iterable[Edge]) -> tuple[ModularGraph, dict[str, str]]:
+    """Smooth the nodes ``edges``: each block of vertices they span becomes
+    one vertex, named by its smallest member, whose genus is the block's
+    genus sum plus its first Betti number in the contracted edges.  The
+    surviving vertices and half-edges keep their order, and tails are
+    unchanged.  Returns the contracted graph and the map from each vertex
+    of ``g`` to its vertex in it."""
+    edges = tuple(edges)
+    vmap = {v: min(block) for block in components(g, edges) for v in block}
+    genus = {v: 1 for v in g.vertices if vmap[v] == v}
+    for v in g.vertices:
+        genus[vmap[v]] += g.genus[v] - 1
+    for h, _ in edges:
+        genus[vmap[g.attach[h]]] += 1
+    gone = {h for e in edges for h in e}
+    halves = tuple(h for h in g.half_edges if h not in gone)
+    graph = ModularGraph(
+        tuple(genus),
+        genus,
+        halves,
+        {h: vmap[g.attach[h]] for h in halves},
+        {h: g.involution[h] for h in halves},
+        dict(g.tails),
+    )
+    return graph, vmap
 
 
 def total_genus(g: ModularGraph) -> int:

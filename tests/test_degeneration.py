@@ -21,9 +21,12 @@ from gieseker import (
     gieseker_bubble,
     is_stable,
     make_deformation,
+    quotient_graph,
     stabilize,
     total_genus,
+    validate,
 )
+from gieseker.degeneration import _require_labelled, component_genus
 from helpers import (
     brute_isomorphic_dt,
     certificate,
@@ -89,6 +92,26 @@ class TestClassify:
         verdict = classify_gieseker(DegeneracyType(graph, {"u": 1, "w": 0}))
         assert not verdict.valid
         assert any("marked point" in r for r in verdict.reasons)
+
+    def test_every_reason_in_order(self):
+        graph = ModularGraph.build(
+            {"h": 2, "a": 0, "b": 0, "d": 0, "e": 0, "f": 0},
+            edges=[("h", "a"), ("h", "b"), ("h", "d"), ("d", "h"), ("h", "e"), ("e", "f"), ("f", "h")],
+            tails={"1": "b"},
+        )
+        degrees = {"h": 0, "a": 0, "b": 1, "d": 0, "e": 1, "f": 1}
+        verdict = classify_gieseker(DegeneracyType(graph, degrees))
+        assert verdict.bubbles == frozenset({"e", "f"})
+        assert verdict.reasons == (
+            "genus-0 vertex a has fewer than 2 special points",
+            "unstable vertex b carries a marked point (bubbles only at nodes)",
+            "bubble degree != 1 at vertex d",
+            "adjacent bubbles e, f",
+        )
+
+    def test_bare_genus_one_vertex(self):
+        verdict = classify_gieseker(DegeneracyType(ModularGraph.build({"a": 1}), {"a": 0}))
+        assert verdict.reasons == ("contraction unstable: genus-1 vertex a has no special point",)
 
 def test_key_invariance_under_relabelling():
     rng = random.Random(11)
@@ -377,3 +400,191 @@ class TestDeformationOf:
 def test_degeneracy_json_roundtrip(rng):
     dt = random_degeneracy(rng, random_graph(rng, max_vertices=4))
     assert degeneracy_from_json(degeneracy_to_json(dt)) == dt
+
+
+# -- graph surgery against the hand-written contractions it replaced ------
+#
+# The references below are the earlier per-caller implementations: the two
+# resolutions, quotient_graph/component_genus over a union-find partition,
+# and a breadth-first connectivity walk.  modular_graph.contract and
+# modular_graph.components must reproduce them.
+
+
+def reference_resolve_self(dt, edge):
+    _require_labelled(dt)
+    g = dt.graph
+    if edge not in g.edges() or not g.is_self_edge(edge):
+        raise DomainError(f"{edge} is not a self-edge")
+    v = g.attach[edge[0]]
+    keep = [h for h in g.half_edges if h not in edge]
+    graph = ModularGraph(
+        g.vertices,
+        {u: gu + (1 if u == v else 0) for u, gu in g.genus.items()},
+        tuple(keep),
+        {h: g.attach[h] for h in keep},
+        {h: g.involution[h] for h in keep},
+        dict(g.tails),
+    )
+    return DegeneracyType(graph, dict(dt.multidegree))
+
+
+def reference_resolve_split(dt, edge):
+    _require_labelled(dt)
+    g = dt.graph
+    if edge not in g.edges() or g.is_self_edge(edge):
+        raise DomainError(f"{edge} is not a splitting edge")
+    v1, v2 = sorted(g.edge_endpoints(edge))
+    keep = [h for h in g.half_edges if h not in edge]
+    genus = {u: gu for u, gu in g.genus.items() if u != v2}
+    genus[v1] = g.genus[v1] + g.genus[v2]
+    degrees = {u: d for u, d in dt.multidegree.items() if u != v2}
+    degrees[v1] = dt.multidegree[v1] + dt.multidegree[v2]
+    graph = ModularGraph(
+        tuple(u for u in g.vertices if u != v2),
+        genus,
+        tuple(keep),
+        {h: (v1 if g.attach[h] == v2 else g.attach[h]) for h in keep},
+        {h: g.involution[h] for h in keep},
+        dict(g.tails),
+    )
+    return DegeneracyType(graph, degrees)
+
+
+def reference_blocks(base, kept):
+    parent = {v: v for v in base.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in base.edges():
+        if e not in kept:
+            v1, v2 = base.edge_endpoints(e)
+            parent[find(v1)] = find(v2)
+    groups = {}
+    for v in sorted(base.vertices):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def reference_component_genus(base, kept, blocks):
+    dropped = [e for e in base.edges() if e not in kept]
+    out = {}
+    for block in blocks:
+        internal = [e for e in dropped if set(base.edge_endpoints(e)) <= set(block)]
+        out[block] = sum(base.genus[v] for v in block) + len(internal) - len(block) + 1
+    return out
+
+
+def reference_quotient_graph(base, kept, blocks):
+    block_name = {block: block[0] for block in blocks}
+    vmap = {v: block_name[b] for b in blocks for v in b}
+    genus = {block_name[b]: gb for b, gb in reference_component_genus(base, kept, blocks).items()}
+    halves = [h for h in base.half_edges if h in base.tails or any(h in e for e in kept)]
+    graph = ModularGraph(
+        tuple(block_name[b] for b in blocks),
+        genus,
+        tuple(halves),
+        {h: vmap[base.attach[h]] for h in halves},
+        {h: (base.involution[h] if base.involution[h] in halves else h) for h in halves},
+        dict(base.tails),
+    )
+    return graph, vmap
+
+
+def reference_connected(g):
+    seen = {g.vertices[0]}
+    frontier = [g.vertices[0]]
+    while frontier:
+        v = frontier.pop()
+        for h in g.half_edges:
+            if g.attach[h] == v:
+                w = g.attach[g.involution[h]]
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return seen == set(g.vertices)
+
+
+def surgery_graph(rng):
+    """A multigraph with loops and parallel edges, connected only by chance
+    when no spanning tree is drawn, with its vertex and half-edge tuples
+    shuffled so that neither is sorted."""
+    names = rng.sample("abcdfhkmpqrtwz", rng.randint(1, 6))
+    pairs = [(rng.choice(names[:i]), names[i]) for i in range(1, len(names)) if rng.random() < 0.85]
+    pairs += [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 4))]
+    pairs += [(v, v) for v in rng.sample(names, rng.randint(0, min(2, len(names))))]
+    pairs += [pairs[rng.randrange(len(pairs))] for _ in range(rng.randint(0, 2)) if pairs]
+    built = ModularGraph.build(
+        {v: rng.randint(0, 2) for v in names},
+        pairs,
+        {str(k): rng.choice(names) for k in range(1, rng.randint(1, 4))},
+    )
+    vertices, halves = list(built.vertices), list(built.half_edges)
+    rng.shuffle(vertices)
+    rng.shuffle(halves)
+    return ModularGraph(
+        tuple(vertices), built.genus, tuple(halves), built.attach, built.involution, built.tails
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+def test_graph_surgery_matches_the_hand_contractions():
+    rng = random.Random(2009)
+    seen = dict.fromkeys(
+        ("loops", "parallel", "unsorted", "disconnected", "self", "split", "error", "merged"), 0
+    )
+    quotients = 0
+    for _ in range(500):
+        g = surgery_graph(rng)
+        dt = DegeneracyType(g, {v: rng.randint(-3, 3) for v in g.vertices})
+        ends = [tuple(sorted(g.edge_endpoints(e))) for e in g.edges()]
+        seen["loops"] += bool(g.self_edges())
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["unsorted"] += list(g.vertices) != sorted(g.vertices)
+
+        connected = reference_connected(g)
+        seen["disconnected"] += not connected
+        assert ("disconnected" not in validate(g).errors) == connected
+
+        edge = rng.choice(g.edges() + (("x0", "x1"),))
+        for new, old in (
+            (deform_resolve_self, reference_resolve_self),
+            (deform_resolve_split, reference_resolve_split),
+        ):
+            got, want = outcome(new, dt, edge), outcome(old, dt, edge)
+            assert got == want
+            if got[0] == "ok":
+                assert got[1].graph == want[1].graph
+                seen["self" if new is deform_resolve_self else "split"] += 1
+            else:
+                seen["error"] += 1
+        if not connected:
+            continue
+
+        kept = tuple(e for e in g.edges() if rng.random() < 0.5)
+        blocks = reference_blocks(g, kept)
+        defo = make_deformation(g, kept, {b: 0 for b in blocks})
+        assert defo.blocks == blocks
+        seen["merged"] += len(blocks) < len(g.vertices)
+        quotients += 1
+        assert component_genus(defo) == reference_component_genus(g, set(kept), blocks)
+        (q, vmap), (q_ref, vmap_ref) = quotient_graph(defo), reference_quotient_graph(g, kept, blocks)
+        assert vmap == vmap_ref
+        assert sorted(q.vertices) == sorted(q_ref.vertices)
+        assert (q.genus, q.half_edges, q.attach, q.involution, q.tails) == (
+            q_ref.genus,
+            q_ref.half_edges,
+            q_ref.attach,
+            q_ref.involution,
+            q_ref.tails,
+        )
+    assert quotients >= 300 and min(seen.values()) >= 50, (quotients, seen)

@@ -49,6 +49,15 @@ def test_validate_disconnected():
     assert any("disconnected" in err for err in report.errors)
 
 
+def test_validate_vertex_ids_of_mixed_types():
+    # JSON documents may name vertices by numbers and strings at once; the
+    # connectivity check never orders ids, so such a graph stays valid.
+    joined = ModularGraph.build({1: 1, "a": 1}, edges=[(1, "a")])
+    assert validate(joined).ok
+    apart = ModularGraph.build({1: 1, "a": 1})
+    assert validate(apart).errors == ("disconnected",)
+
+
 def test_total_genus_examples():
     one_loop = ModularGraph.build({"v": 1}, edges=[("v", "v")])
     assert total_genus(one_loop) == 2
