@@ -14,12 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .degeneration import (
     DegeneracyType,
     DeformationOfBase,
-    component_genus,
     deformation_of,
     induced_blocks,
     make_deformation,
@@ -57,22 +56,6 @@ def _check_partition(base: ModularGraph, partition: Partition) -> None:
         raise DomainError("empty partition block")
 
 
-def split_edges_of(base: ModularGraph, partition: Partition) -> tuple[Edge, ...]:
-    """Base edges joining distinct blocks."""
-    _check_partition(base, partition)
-    out = []
-    for e in base.edges():
-        v1, v2 = base.edge_endpoints(e)
-        if partition.block_of(v1) != partition.block_of(v2):
-            out.append(e)
-    return tuple(out)
-
-
-def edge_count(base: ModularGraph, partition: Partition) -> int:
-    """k(R), the number of splitting edges of the partition."""
-    return len(split_edges_of(base, partition))
-
-
 @dataclass(frozen=True)
 class FixedComponentLabel:
     """Connected-component label of a fixed locus: the block-wise degree
@@ -100,6 +83,23 @@ class MultidegreeBounds:
         return self.bounds[r][1]
 
 
+def require_partition_table(
+    base: ModularGraph, table: Mapping[Partition, object], what: str
+) -> list[Partition]:
+    """Check that a per-partition table has one entry for each partition
+    of ``nt2b(base)`` and no other; returns ``nt2b(base)``.  ``what``
+    names the entries in the error text."""
+    partitions = nt2b(base)
+    known = set(partitions)
+    for r in table:
+        if r not in known:
+            raise DomainError(f"{what} given for {r.blocks}, not a non-trivial 2-block partition of the base")
+    for r in partitions:
+        if r not in table:
+            raise DomainError(f"no {what} given for the partition {r.blocks}")
+    return partitions
+
+
 def uniform_bounds(base: ModularGraph, upper: int, lower: int) -> MultidegreeBounds:
     return MultidegreeBounds({r: (upper, lower) for r in nt2b(base)})
 
@@ -107,16 +107,9 @@ def uniform_bounds(base: ModularGraph, upper: int, lower: int) -> MultidegreeBou
 def minimal_bounds(base: ModularGraph, n: Union[int, Mapping[Partition, int]]) -> MultidegreeBounds:
     """The extremal band N_u(R) = N(R) = N_l(R) + 1; a per-partition
     table must give N for every partition of ``nt2b(base)`` and no other."""
-    partitions = nt2b(base)
     if isinstance(n, int):
-        return MultidegreeBounds({r: (n, n - 1) for r in partitions})
-    known = set(partitions)
-    for r in n:
-        if r not in known:
-            raise DomainError(f"N given for {r.blocks}, not a non-trivial 2-block partition of the base")
-    for r in partitions:
-        if r not in n:
-            raise DomainError(f"no N given for the partition {r.blocks}")
+        return uniform_bounds(base, n, n - 1)
+    partitions = require_partition_table(base, n, "N")
     return MultidegreeBounds({r: (n[r], n[r] - 1) for r in partitions})
 
 
@@ -171,37 +164,62 @@ def _resolve(stratum: Union[DegeneracyType, DeformationOfBase], base: ModularGra
     return deformation_of(stratum, base)
 
 
-def _classify_edges(defo: DeformationOfBase, r: Partition):
-    """Kept edges sorted into split (joining blocks of r) and internal."""
-    split, internal = [], []
-    for e in defo.kept_edges:
-        v1, v2 = defo.base.edge_endpoints(e)
-        if r.block_of(v1) != r.block_of(v2):
-            split.append(e)
-        else:
-            internal.append(e)
-    return tuple(split), tuple(internal)
+class _Reading(NamedTuple):
+    """A stratum read against a partition r whose splitting edges all
+    survive as nodes."""
+
+    content: dict[Block, int]  # degree carried by each block
+    k: int  # k(R), the number of splitting edges
+    plain: tuple[Edge, ...]  # splitting nodes without a bubble
+    inner: dict[Block, int]  # base edges with both ends in each block
 
 
-def _refines(defo: DeformationOfBase, r: Partition) -> bool:
-    """Whether every deformed component lies inside one block of r, i.e.
-    no splitting edge of r was smoothed."""
-    return all(len({r.block_of(v) for v in block}) == 1 for block in defo.blocks)
-
-
-def _block_content(defo: DeformationOfBase, r: Partition) -> dict[Block, int]:
-    """Degree carried by each block of r: stable components inside it
-    plus bubbles on its internal nodes.  Bubbles on splitting nodes sit
-    between blocks and count for neither."""
-    content = {block: 0 for block in r.blocks}
-    for dblock, d in defo.block_degrees.items():
-        content[r.block_of(dblock[0])] += d
-    for e in defo.bubbled_edges:
-        v1, v2 = defo.base.edge_endpoints(e)
-        b1, b2 = r.block_of(v1), r.block_of(v2)
+def _reading(defo: DeformationOfBase, r: Partition) -> Optional[_Reading]:
+    """One pass over the base edges; ``None`` when a splitting edge of r
+    was smoothed.  A block's degree content is that of the stable
+    components inside it plus the bubbles on its internal nodes; bubbles
+    on splitting nodes sit between blocks and count for neither.  The
+    blocks of a deformation are the components of its dropped edges, so
+    no smoothed splitting edge means that each lies inside one block."""
+    block_of = {v: block for block in r.blocks for v in block}
+    attach = defo.base.attach
+    kept, bubbled = set(defo.kept_edges), set(defo.bubbled_edges)
+    content = dict.fromkeys(r.blocks, 0)
+    inner = dict.fromkeys(r.blocks, 0)
+    k, plain = 0, []
+    for e in defo.base.edges():
+        b1, b2 = block_of[attach[e[0]]], block_of[attach[e[1]]]
         if b1 == b2:
-            content[b1] += 1
-    return content
+            inner[b1] += 1
+            if e in bubbled:
+                content[b1] += 1
+        elif e not in kept:
+            return None
+        else:
+            k += 1
+            if e not in bubbled:
+                plain.append(e)
+    for dblock, d in defo.block_degrees.items():
+        content[block_of[dblock[0]]] += d
+    return _Reading(content, k, tuple(plain), inner)
+
+
+def _minus_block(r: Partition) -> Block:
+    plus = plus_block(r)
+    return next(b for b in r.blocks if b != plus)
+
+
+def _every_node(base: ModularGraph) -> DeformationOfBase:
+    """The unbubbled stratum that keeps every node of the base, so every
+    splitting edge of every partition."""
+    points = tuple((v,) for v in sorted(base.vertices))
+    return DeformationOfBase(base, base.edges(), points, dict.fromkeys(points, 0), ())
+
+
+def edge_count(base: ModularGraph, partition: Partition) -> int:
+    """k(R), the number of splitting edges of the partition."""
+    _check_partition(base, partition)
+    return _reading(_every_node(base), partition).k
 
 
 def fixed_label(
@@ -214,16 +232,12 @@ def fixed_label(
     (some splitting edge of r lacks a bubble)."""
     defo = _resolve(stratum, base)
     _check_partition(base, r)
-    if not _refines(defo, r):
+    reading = _reading(defo, r)
+    if reading is None:
         raise DomainError("not fixed: a splitting edge of the partition was smoothed")
-    split, _ = _classify_edges(defo, r)
-    missing = [e for e in split if e not in set(defo.bubbled_edges)]
-    if missing:
-        raise DomainError(f"not fixed: splitting edges without bubbles: {missing}")
-    dropped_split = set(split_edges_of(base, r)) - set(defo.kept_edges)
-    if dropped_split:
-        raise DomainError("not fixed: a splitting edge of the partition was smoothed")
-    return FixedComponentLabel(r, _block_content(defo, r))
+    if reading.plain:
+        raise DomainError(f"not fixed: splitting edges without bubbles: {list(reading.plain)}")
+    return FixedComponentLabel(r, reading.content)
 
 
 def _band_inequalities(
@@ -232,15 +246,12 @@ def _band_inequalities(
     """The two partial-sum inequalities for one partition; vacuous when a
     splitting edge of r was smoothed (the partial sums are undefined and
     the stratum sits over a less degenerate curve)."""
-    if not _refines(defo, r):
+    reading = _reading(defo, r)
+    if reading is None:
         return True
-    content = _block_content(defo, r)
-    plus = plus_block(r)
-    minus = next(b for b in r.blocks if b != plus)
-    k = edge_count(defo.base, r)
     return (
-        content[plus] >= total + lower - k + 1
-        and content[minus] >= -upper + 1
+        reading.content[plus_block(r)] >= total + lower - reading.k + 1
+        and reading.content[_minus_block(r)] >= -upper + 1
     )
 
 
@@ -249,12 +260,13 @@ def in_band(
     base: ModularGraph,
     bounds: MultidegreeBounds,
 ) -> bool:
-    """Whether the stratum lies in the finite-type band of the bounds."""
+    """Whether the stratum lies in the finite-type band of the bounds,
+    which must cover exactly ``nt2b(base)``."""
     defo = _resolve(stratum, base)
     total = defo.total_degree
     return all(
         _band_inequalities(defo, r, bounds.upper(r), bounds.lower(r), total)
-        for r in nt2b(base)
+        for r in require_partition_table(base, bounds.bounds, "bounds")
     )
 
 
@@ -278,17 +290,11 @@ def tail_membership(
     _check_partition(base, r)
     if upper <= lower:
         raise DomainError("tail bounds must satisfy upper > lower")
-    if not _refines(defo, r):
+    reading = _reading(defo, r)
+    if reading is None:
         return "none"
-    split, _ = _classify_edges(defo, r)
-    if set(split_edges_of(base, r)) - set(defo.kept_edges):
-        return "none"
-    content = _block_content(defo, r)
-    plus = plus_block(r)
-    minus = next(b for b in r.blocks if b != plus)
-    smoothed = len([e for e in split if e not in set(defo.bubbled_edges)])
-    n_z = -content[minus]
-    n_w = n_z + smoothed
+    n_z = -reading.content[_minus_block(r)]
+    n_w = n_z + len(reading.plain)
     if n_z >= upper:
         return "Z"
     if n_w <= lower:
@@ -307,10 +313,6 @@ class IntersectionData:
 
     vertices: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
-
-    def column(self, v: str) -> tuple[int, ...]:
-        j = self.vertices.index(v)
-        return tuple(row[j] for row in self.matrix)
 
 
 def intersection_data(base: ModularGraph) -> IntersectionData:
@@ -399,10 +401,10 @@ def band_representatives(
     # each partition's window for the plus-block sum, and the one-vertex
     # windows it implies
     tests, windows = [], {}
+    every_node = _every_node(base)
     for r in nt2b(base):
-        plus = plus_block(r)
-        (minus,) = (b for b in r.blocks if b != plus)
-        k = edge_count(base, r)
+        plus, minus = plus_block(r), _minus_block(r)
+        k = _reading(every_node, r).k
         low, high = total + bounds.lower(r) - k + 1, total + bounds.upper(r) - 1
         tests.append((tuple(v in plus for v in verts), low, high))
         if len(plus) == 1:
@@ -439,18 +441,18 @@ def band_representatives(
 def block_effective_genus(defo: DeformationOfBase, r: Partition) -> dict[Block, int]:
     """Arithmetic-genus convention for a block's subcurve: one minus its
     structure-sheaf Euler characteristic.  Components contribute 1 - g,
-    each internal kept node (bubbled or not) subtracts one."""
+    each internal kept node (bubbled or not) subtracts one.  A smoothed
+    node inside a block raises its component's genus by as much as it
+    removes a node, so this is 1 - sum(1 - g_v) + e over the block's base
+    vertices v and the base edges e with both ends in it."""
     _check_partition(defo.base, r)
-    if not _refines(defo, r):
+    reading = _reading(defo, r)
+    if reading is None:
         raise DomainError("deformed components must refine the partition")
-    genus = {}
-    comp_genus = component_genus(defo)
-    _, internal = _classify_edges(defo, r)
-    for block in r.blocks:
-        chi = sum(1 - comp_genus[dblock] for dblock in defo.blocks if dblock[0] in block)
-        nodes = [e for e in internal if r.block_of(defo.base.edge_endpoints(e)[0]) == block]
-        genus[block] = 1 - (chi - len(nodes))
-    return genus
+    return {
+        block: 1 - sum(1 - defo.base.genus[v] for v in block) + reading.inner[block]
+        for block in r.blocks
+    }
 
 
 # -- JSON -------------------------------------------------------------------
@@ -458,12 +460,6 @@ def block_effective_genus(defo: DeformationOfBase, r: Partition) -> dict[Block, 
 
 def partition_to_json(r: Partition) -> dict:
     return {"blocks": [list(b) for b in r.blocks]}
-
-
-def partition_from_json(data: dict) -> Partition:
-    if not isinstance(data, dict) or set(data) != {"blocks"}:
-        raise DomainError("partition document must be {\"blocks\": [[...], ...]}")
-    return Partition.of(data["blocks"])
 
 
 def intersection_to_json(data: IntersectionData) -> dict:

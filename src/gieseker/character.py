@@ -17,7 +17,7 @@ from .atlas import (
     FixedComponentLabel,
     MultidegreeBounds,
     Partition,
-    nt2b,
+    uniform_bounds,
 )
 from .errors import DomainError
 from .modular_graph import ModularGraph, total_genus
@@ -120,10 +120,6 @@ def char_pow(a: LaurentCharacter, k: int) -> LaurentCharacter:
         base = char_mul(base, base)
         k >>= 1
     return out
-
-
-def char_scale(a: LaurentCharacter, c: int) -> LaurentCharacter:
-    return LaurentCharacter.from_terms(a.arity, {e: c * co for e, co in a.terms})
 
 
 def weight_zero_part(a: LaurentCharacter) -> int:
@@ -311,7 +307,7 @@ def vanishing_bounds(
     g = total_genus(base)
     upper = pad + g + 2
     lower = -(pad + g + 2 + abs(total_degree))
-    return MultidegreeBounds({r: (upper, lower) for r in nt2b(base)})
+    return uniform_bounds(base, upper, lower)
 
 
 def degree_range(spec: AdmissibleClassSpec, genus: int, markings: int) -> tuple[int, ...]:

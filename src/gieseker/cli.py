@@ -150,14 +150,7 @@ def _load_bounds(args, base) -> atlas.MultidegreeBounds:
             except TypeError as exc:
                 raise DomainError(f"bounds blocks must be lists of vertex ids: {exc}") from exc
             table[r] = (_integer(row["upper"], "bounds upper"), _integer(row["lower"], "bounds lower"))
-        partitions = set(atlas.nt2b(base))
-        for r in table:
-            if r not in partitions:
-                raise DomainError(
-                    f"bounds given for {r.blocks}, not a non-trivial 2-block partition of the base"
-                )
-        if partitions - set(table):
-            raise DomainError("bounds document must cover every non-trivial 2-block partition")
+        atlas.require_partition_table(base, table, "bounds")
         return atlas.MultidegreeBounds(table)
     if args.upper is None or args.lower is None:
         raise DomainError("provide either --bounds or both --upper and --lower")

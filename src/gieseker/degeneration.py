@@ -97,10 +97,11 @@ def classify_gieseker(dt: DegeneracyType) -> GiesekerVerdict:
             # is.  Only a one-vertex graph has a vertex without special
             # points, so this reason never precedes another.
             reasons.append(f"contraction unstable: genus-1 vertex {v} has no special point")
-    for e in g.edges():
-        v1, v2 = g.edge_endpoints(e)
-        if v1 in bubbles and v2 in bubbles:
-            reasons.append(f"adjacent bubbles {v1}, {v2}")
+    if len(bubbles) >= 2:  # otherwise no two bubbles can be adjacent
+        for e in g.edges():
+            v1, v2 = g.edge_endpoints(e)
+            if v1 in bubbles and v2 in bubbles:
+                reasons.append(f"adjacent bubbles {v1}, {v2}")
     return GiesekerVerdict(not reasons, frozenset(bubbles), tuple(reasons))
 
 
@@ -220,7 +221,7 @@ def degenerate_split(
     if d1 + d2 != dt.multidegree[vertex]:
         raise DomainError(f"degree split {degree_split} does not sum to {dt.multidegree[vertex]}")
     moved = set(moved)
-    if not moved <= set(g.halves_at(vertex)):
+    if not all(h in g.attach and g.attach[h] == vertex for h in moved):
         raise DomainError("moved half-edges must be attached to the split vertex")
     (new_v,) = _fresh_ids(g.vertices, "w", 1)
     h1, h2 = _fresh_ids(g.half_edges, "x", 2)
@@ -270,13 +271,11 @@ def gieseker_bubble(dt: DegeneracyType, edge: Edge, side: str) -> DegeneracyType
 # -- closure enumeration -------------------------------------------------
 
 
-def _in_band(dt: DegeneracyType, band: tuple[int, int]) -> bool:
-    lo, hi = band
-    return all(lo <= d <= hi for d in dt.multidegree.values())
-
-
 def _elementary_moves(dt: DegeneracyType, band: tuple[int, int]):
-    """All single elementary degenerations staying inside the band."""
+    """All single elementary degenerations staying inside the band: a
+    split draws both degrees from the band, and a bubble needs degree 1
+    in it and leaves its side's degree at least ``lo``.  A label inside
+    the band thus only moves to labels inside it."""
     lo, hi = band
     g = dt.graph
     for v in g.vertices:
@@ -321,25 +320,21 @@ def closure_poset(
         raise DomainError("empty degree band")
     if not classify_gieseker(dt).valid:
         raise DomainError("closure of a non-Gieseker label")
-    if not _in_band(dt, band):
+    if not all(lo <= d <= hi for d in dt.multidegree.values()):
         raise DomainError("starting multidegree outside the band")
     start = degeneracy_key(dt)
     strata = {start: dt}
-    arrows: list[tuple[str, str, str]] = []
-    seen_arrows: set[tuple[str, str, str]] = set()
+    arrows: set[tuple[str, str, str]] = set()
     frontier = [start]
     while frontier:
         next_frontier: list[str] = []
         for key in frontier:
             current = strata[key]
             for op, cand in _elementary_moves(current, band):
-                if not _in_band(cand, band) or not classify_gieseker(cand).valid:
+                if not classify_gieseker(cand).valid:
                     continue
                 ck = degeneracy_key(cand)
-                arrow = (key, ck, op)
-                if arrow not in seen_arrows:
-                    seen_arrows.add(arrow)
-                    arrows.append(arrow)
+                arrows.add((key, ck, op))
                 if ck not in strata:
                     strata[ck] = cand
                     next_frontier.append(ck)

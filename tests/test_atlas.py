@@ -8,10 +8,12 @@ import pytest
 from gieseker import (
     DegeneracyType,
     DomainError,
+    FixedComponentLabel,
     ModularGraph,
     MultidegreeBounds,
     Partition,
     band_representatives,
+    block_effective_genus,
     edge_count,
     fixed_label,
     in_band,
@@ -25,7 +27,8 @@ from gieseker import (
     twist,
     uniform_bounds,
 )
-from gieseker.degeneration import induced_blocks
+from gieseker.atlas import _check_partition
+from gieseker.degeneration import component_genus, induced_blocks
 from helpers import enumerate_deformations, random_graph
 
 
@@ -640,3 +643,170 @@ class TestMinimalBandStabilizers:
                 hits += 1
                 assert stabilizer_partition(defo).blocks == (("u", "v", "w"),)
         assert hits > 0
+
+
+# -- reading a stratum against a partition ----------------------------------
+#
+# The references below are the per-question edge sweeps that the single
+# partition reading replaced: split/internal kept edges, a refinement test
+# over the deformed components, the block content, and a second check for
+# smoothed splitting edges.
+
+
+def _reference_split_edges(base, r):
+    _check_partition(base, r)
+    out = []
+    for e in base.edges():
+        v1, v2 = base.edge_endpoints(e)
+        if r.block_of(v1) != r.block_of(v2):
+            out.append(e)
+    return tuple(out)
+
+
+def _reference_classify(defo, r):
+    split, internal = [], []
+    for e in defo.kept_edges:
+        v1, v2 = defo.base.edge_endpoints(e)
+        (split if r.block_of(v1) != r.block_of(v2) else internal).append(e)
+    return tuple(split), tuple(internal)
+
+
+def _reference_refines(defo, r):
+    return all(len({r.block_of(v) for v in block}) == 1 for block in defo.blocks)
+
+
+def _reference_content(defo, r):
+    content = {block: 0 for block in r.blocks}
+    for dblock, d in defo.block_degrees.items():
+        content[r.block_of(dblock[0])] += d
+    for e in defo.bubbled_edges:
+        v1, v2 = defo.base.edge_endpoints(e)
+        if r.block_of(v1) == r.block_of(v2):
+            content[r.block_of(v1)] += 1
+    return content
+
+
+def reference_fixed_label(defo, base, r):
+    _check_partition(base, r)
+    if not _reference_refines(defo, r):
+        raise DomainError("not fixed: a splitting edge of the partition was smoothed")
+    split, _ = _reference_classify(defo, r)
+    missing = [e for e in split if e not in set(defo.bubbled_edges)]
+    if missing:
+        raise DomainError(f"not fixed: splitting edges without bubbles: {missing}")
+    if set(_reference_split_edges(base, r)) - set(defo.kept_edges):
+        raise DomainError("not fixed: a splitting edge of the partition was smoothed")
+    return FixedComponentLabel(r, _reference_content(defo, r))
+
+
+def reference_tail_membership(defo, base, r, upper, lower):
+    _check_partition(base, r)
+    if upper <= lower:
+        raise DomainError("tail bounds must satisfy upper > lower")
+    if not _reference_refines(defo, r):
+        return "none"
+    split, _ = _reference_classify(defo, r)
+    if set(_reference_split_edges(base, r)) - set(defo.kept_edges):
+        return "none"
+    minus = next(b for b in r.blocks if b != plus_block(r))
+    n_z = -_reference_content(defo, r)[minus]
+    n_w = n_z + len([e for e in split if e not in set(defo.bubbled_edges)])
+    return "Z" if n_z >= upper else "W" if n_w <= lower else "none"
+
+
+def reference_in_band(defo, base, bounds):
+    for r in nt2b(base):
+        if not _reference_refines(defo, r):
+            continue
+        content = _reference_content(defo, r)
+        minus = next(b for b in r.blocks if b != plus_block(r))
+        k = len(_reference_split_edges(base, r))
+        if content[plus_block(r)] < defo.total_degree + bounds.lower(r) - k + 1:
+            return False
+        if content[minus] < -bounds.upper(r) + 1:
+            return False
+    return True
+
+
+def reference_block_effective_genus(defo, r):
+    _check_partition(defo.base, r)
+    if not _reference_refines(defo, r):
+        raise DomainError("deformed components must refine the partition")
+    comp_genus = component_genus(defo)
+    _, internal = _reference_classify(defo, r)
+    genus = {}
+    for block in r.blocks:
+        chi = sum(1 - comp_genus[dblock] for dblock in defo.blocks if dblock[0] in block)
+        nodes = [e for e in internal if r.block_of(defo.base.edge_endpoints(e)[0]) == block]
+        genus[block] = 1 - (chi - len(nodes))
+    return genus
+
+
+def _outcome(fn, *args):
+    """A value (dicts as item lists, so block order counts) or an error
+    type and text.  ``tail_membership`` on a partition without two blocks
+    raises StopIteration on both sides."""
+    try:
+        value = fn(*args)
+    except (DomainError, StopIteration) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(value, FixedComponentLabel):
+        return ("value", value.partition, list(value.sums.items()))
+    if isinstance(value, dict):
+        return ("value", list(value.items()))
+    return ("value", value)
+
+
+def _random_partitions(rng, base, defo):
+    verts = list(base.vertices)
+    yield Partition.of([verts])
+    yield stabilizer_partition(defo)
+    yield from rng.sample(nt2b(base), min(3, len(nt2b(base))))
+    labels = [rng.randrange(3) for _ in verts]
+    yield Partition.of([[v for v, x in zip(verts, labels) if x == i] for i in set(labels)])
+    if len(verts) > 1:  # not a partition of the base: a vertex left out
+        yield Partition.of([verts[1:]])
+
+
+def test_partition_reading_matches_the_per_question_sweeps():
+    rng = random.Random("partition-reading-oracle")
+    outcomes = {"value": 0, "error": 0}
+    for _ in range(600):
+        base = random_graph(rng, max_vertices=5, max_extra_edges=3, max_loops=2)
+        kept = [e for e in base.edges() if rng.random() < 0.7]
+        blocks = induced_blocks(base, kept)
+        bubbled = [e for e in kept if rng.random() < 0.5]
+        defo = make_deformation(base, kept, {b: rng.randint(-4, 4) for b in blocks}, bubbled)
+        for r in _random_partitions(rng, base, defo):
+            upper = rng.randint(-3, 5)
+            lower = rng.randint(-6, upper)  # tail_membership rejects lower == upper
+            cases = [
+                (fixed_label, reference_fixed_label, (defo, base, r)),
+                (tail_membership, reference_tail_membership, (defo, base, r, upper, lower)),
+                (block_effective_genus, reference_block_effective_genus, (defo, r)),
+                (edge_count, lambda b, p: len(_reference_split_edges(b, p)), (base, r)),
+                (in_band, reference_in_band, (defo, base, uniform_bounds(base, upper + 1, lower))),
+            ]
+            for fn, reference, args in cases:
+                outcome = _outcome(fn, *args)
+                assert outcome == _outcome(reference, *args), (fn.__name__, base, defo, r)
+                outcomes[outcome[0]] += 1
+    assert min(outcomes.values()) > 1000
+
+
+class TestInBandTable:
+    def test_missing_partition_named(self):
+        base = ModularGraph.build({"u": 0, "v": 0, "w": 0}, edges=[("u", "v"), ("v", "w")])
+        defo = make_deformation(base, base.edges(), {("u",): 0, ("v",): 0, ("w",): 0})
+        table = {r: (5, 2) for r in nt2b(base)}
+        del table[Partition.of([("u", "v"), ("w",)])]
+        with pytest.raises(DomainError, match=r"no bounds given for the partition \(\('u', 'v'\), \('w',\)\)"):
+            in_band(defo, base, MultidegreeBounds(table))
+
+    def test_foreign_partition_named(self):
+        base = two_vertex_base()
+        defo = make_deformation(base, base.edges(), {("a",): 0, ("b",): 0})
+        table = {r: (5, 2) for r in nt2b(base)}
+        table[Partition.of([("x",), ("y",)])] = (7, 6)
+        with pytest.raises(DomainError, match=r"\(\('x',\), \('y',\)\), not a non-trivial 2-block"):
+            in_band(defo, base, MultidegreeBounds(table))

@@ -191,6 +191,16 @@ def test_bounds_file_naming_a_foreign_partition_exits_one(capsys, tmp_path, poin
     assert err.startswith("error: ") and "(('x',), ('y',))" in err
 
 
+def test_bounds_file_missing_a_partition_exits_one(capsys, tmp_path, point_file, base_file):
+    bounds = write(tmp_path, "bounds.json", [])
+    code, out, err = run(
+        capsys, ["band", "--type", point_file, "--base", base_file, "--bounds", bounds]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: no bounds given for the partition (('a',), ('b',))\n"
+
+
 @pytest.mark.parametrize("kind", ["directory", "undecodable-bytes"])
 def test_unreadable_document_exits_one(capsys, tmp_path, kind):
     path = tmp_path

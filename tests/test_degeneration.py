@@ -26,7 +26,7 @@ from gieseker import (
     total_genus,
     validate,
 )
-from gieseker.degeneration import _require_labelled, component_genus
+from gieseker.degeneration import _elementary_moves, _require_labelled, component_genus
 from helpers import (
     brute_isomorphic_dt,
     certificate,
@@ -337,6 +337,24 @@ class TestClosure:
         oracle = oracle_closure(dt, band)
         assert len(strata) == len(oracle)
         assert {certificate(state_of(s)) for s in strata.values()} == oracle
+
+    def test_moves_from_a_label_in_the_band_stay_in_it(self):
+        """Why ``closure_poset`` filters candidates by validity only."""
+        rng = random.Random("moves-stay-in-band")
+        moves = 0
+        for _ in range(150):
+            g = random_graph(rng, max_vertices=3, max_extra_edges=1, max_loops=1, max_tails=2)
+            lo = rng.randint(-3, 2)
+            band = (lo, lo + rng.randint(0, 3))
+            dt = DegeneracyType(g, {v: rng.randint(*band) for v in g.vertices})
+            for _, cand in _elementary_moves(dt, band):
+                moves += 1
+                assert all(band[0] <= d <= band[1] for d in cand.multidegree.values())
+        assert moves > 1000
+
+    def test_arrows_sorted_without_repeats(self):
+        _, arrows = closure_poset(two_vertex_type(1, 0), (-2, 2))
+        assert arrows == sorted(set(arrows))
 
     def test_band_must_contain_start(self):
         with pytest.raises(DomainError):
