@@ -288,6 +288,8 @@ def tail_membership(
     complement of the two tails."""
     defo = _resolve(stratum, base)
     _check_partition(base, r)
+    if len(r.blocks) != 2:
+        raise DomainError(f"tails are defined for 2-block partitions, got {len(r.blocks)} blocks")
     if upper <= lower:
         raise DomainError("tail bounds must satisfy upper > lower")
     reading = _reading(defo, r)

@@ -66,37 +66,39 @@ class GiesekerVerdict:
     reasons: tuple[str, ...]
 
 
+def _vertex_rule(g: ModularGraph, v, genus: int, halves, degree: int):
+    """The Gieseker rule at a vertex with these genus, half-edges and
+    degree (a half-edge not in ``g`` is a new node's): why it fails, or
+    ``None``, and whether it is a bubble.  Any other passing vertex is stable."""
+    if genus == 0 and len(halves) < 2:
+        return f"genus-0 vertex {v} has fewer than 2 special points", False
+    if genus == 0 and len(halves) == 2:
+        if any(h in g.tails for h in halves):
+            return f"unstable vertex {v} carries a marked point (bubbles only at nodes)", False
+        if g.involution.get(halves[0]) == halves[1]:
+            return f"unstable vertex {v} closes up into a self-edge", False
+        if degree != 1:
+            return f"bubble degree != 1 at vertex {v}", False
+        return None, True
+    if genus == 1 and not halves:
+        # Contracting bubbles keeps every other vertex's special-point
+        # count, so the contraction is stable when each non-bubble vertex
+        # is.  Only a one-vertex graph has a vertex without special
+        # points, so this reason never precedes another.
+        return f"contraction unstable: genus-1 vertex {v} has no special point", False
+    return None, False
+
+
 def classify_gieseker(dt: DegeneracyType) -> GiesekerVerdict:
     """Decide whether the labelled graph is a Gieseker stratum label."""
     _require_labelled(dt)
     g = dt.graph
-    reasons: list[str] = []
-    bubbles: set[str] = set()
     halves: dict[str, list[str]] = {v: [] for v in g.vertices}
     for h, v in g.attach.items():
         halves[v].append(h)
-    for v in g.vertices:
-        at = halves[v]
-        if g.genus[v] == 0:
-            if len(at) < 2:
-                reasons.append(f"genus-0 vertex {v} has fewer than 2 special points")
-            elif len(at) == 2:
-                if any(h in g.tails for h in at):
-                    reasons.append(
-                        f"unstable vertex {v} carries a marked point (bubbles only at nodes)"
-                    )
-                elif g.involution[at[0]] == at[1]:
-                    reasons.append(f"unstable vertex {v} closes up into a self-edge")
-                elif dt.multidegree[v] != 1:
-                    reasons.append(f"bubble degree != 1 at vertex {v}")
-                else:
-                    bubbles.add(v)
-        elif g.genus[v] == 1 and not at:
-            # Contracting bubbles keeps every other vertex's special-point
-            # count, so the contraction is stable when each non-bubble vertex
-            # is.  Only a one-vertex graph has a vertex without special
-            # points, so this reason never precedes another.
-            reasons.append(f"contraction unstable: genus-1 vertex {v} has no special point")
+    rules = {v: _vertex_rule(g, v, g.genus[v], halves[v], dt.multidegree[v]) for v in g.vertices}
+    reasons = [reason for reason, _ in rules.values() if reason is not None]
+    bubbles = {v for v, (_, bubble) in rules.items() if bubble}
     if len(bubbles) >= 2:  # otherwise no two bubbles can be adjacent
         for e in g.edges():
             v1, v2 = g.edge_endpoints(e)
@@ -167,17 +169,42 @@ def deform_resolve_split(dt: DegeneracyType, edge: Edge) -> DegeneracyType:
     return DegeneracyType(graph, degrees)
 
 
-def _fresh_ids(existing: Iterable[str], prefix: str, count: int) -> list[str]:
-    taken = set(existing)
-    out: list[str] = []
-    i = 0
-    while len(out) < count:
-        cand = f"{prefix}{i}"
-        if cand not in taken:
-            taken.add(cand)
-            out.append(cand)
-        i += 1
-    return out
+def _move_ids(g: ModularGraph) -> tuple[str, str, str, str]:
+    """The ids the moves from ``g`` add: a split's new vertex, a bubble, and
+    the two half-edges of the new node.  Each move below takes all four."""
+    vertices, halves = set(g.vertices), set(g.half_edges)
+    split = next(f"w{i}" for i in itertools.count() if f"w{i}" not in vertices)
+    bubble = next(f"b{i}" for i in itertools.count() if f"b{i}" not in vertices)
+    h1, h2 = itertools.islice((f"x{i}" for i in itertools.count() if f"x{i}" not in halves), 2)
+    return split, bubble, h1, h2
+
+
+def _grown(dt, genus, attach, involution, degrees) -> DegeneracyType:
+    """``dt`` with entries of its maps set; new vertices and half-edges go last."""
+    g = dt.graph
+    graph = ModularGraph(
+        g.vertices + tuple(v for v in genus if v not in g.genus),
+        {**g.genus, **genus},
+        g.half_edges + tuple(h for h in involution if h not in g.involution),
+        {**g.attach, **attach},
+        {**g.involution, **involution},
+        dict(g.tails),
+    )
+    return DegeneracyType(graph, {**dt.multidegree, **degrees})
+
+
+def _self_node(dt, v, _w, _b, h1, h2) -> DegeneracyType:
+    return _grown(dt, {v: dt.graph.genus[v] - 1}, {h1: v, h2: v}, {h1: h2, h2: h1}, {})
+
+
+def _split(dt, v, g1, d1, moved, w, _b, h1, h2) -> DegeneracyType:
+    genus, degrees = {v: g1, w: dt.graph.genus[v] - g1}, {v: d1, w: dt.multidegree[v] - d1}
+    return _grown(dt, genus, {**dict.fromkeys(moved, w), h1: v, h2: w}, {h1: h2, h2: h1}, degrees)
+
+
+def _bubble(dt, edge, side, _w, b, hb1, hb2) -> DegeneracyType:
+    (h1, h2), degrees = edge, {b: 1, side: dt.multidegree[side] - 1}
+    return _grown(dt, {b: 0}, {hb1: b, hb2: b}, {h1: hb1, hb1: h1, h2: hb2, hb2: h2}, degrees)
 
 
 def degenerate_self(dt: DegeneracyType, vertex: str) -> DegeneracyType:
@@ -188,16 +215,7 @@ def degenerate_self(dt: DegeneracyType, vertex: str) -> DegeneracyType:
         raise DomainError(f"unknown vertex {vertex}")
     if g.genus[vertex] < 1:
         raise DomainError(f"vertex {vertex} has genus 0, nothing to degenerate")
-    h1, h2 = _fresh_ids(g.half_edges, "x", 2)
-    graph = ModularGraph(
-        g.vertices,
-        {u: gu - (1 if u == vertex else 0) for u, gu in g.genus.items()},
-        g.half_edges + (h1, h2),
-        {**g.attach, h1: vertex, h2: vertex},
-        {**g.involution, h1: h2, h2: h1},
-        dict(g.tails),
-    )
-    return DegeneracyType(graph, dict(dt.multidegree))
+    return _self_node(dt, vertex, *_move_ids(g))
 
 
 def degenerate_split(
@@ -223,19 +241,7 @@ def degenerate_split(
     moved = set(moved)
     if not all(h in g.attach and g.attach[h] == vertex for h in moved):
         raise DomainError("moved half-edges must be attached to the split vertex")
-    (new_v,) = _fresh_ids(g.vertices, "w", 1)
-    h1, h2 = _fresh_ids(g.half_edges, "x", 2)
-    attach = {h: (new_v if h in moved else g.attach[h]) for h in g.half_edges}
-    graph = ModularGraph(
-        g.vertices + (new_v,),
-        {**{u: gu for u, gu in g.genus.items()}, vertex: g1, new_v: g2},
-        g.half_edges + (h1, h2),
-        {**attach, h1: vertex, h2: new_v},
-        {**g.involution, h1: h2, h2: h1},
-        dict(g.tails),
-    )
-    degrees = {**dict(dt.multidegree), vertex: d1, new_v: d2}
-    return DegeneracyType(graph, degrees)
+    return _split(dt, vertex, g1, d1, moved, *_move_ids(g))
 
 
 def gieseker_bubble(dt: DegeneracyType, edge: Edge, side: str) -> DegeneracyType:
@@ -252,54 +258,56 @@ def gieseker_bubble(dt: DegeneracyType, edge: Edge, side: str) -> DegeneracyType
             raise DomainError(f"edge endpoint {v} is not a stable vertex")
     if side not in (v1, v2):
         raise DomainError(f"side {side} is not an endpoint of {edge}")
-    (bubble,) = _fresh_ids(g.vertices, "b", 1)
-    hb1, hb2 = _fresh_ids(g.half_edges, "x", 2)
-    h1, h2 = edge
-    graph = ModularGraph(
-        g.vertices + (bubble,),
-        {**dict(g.genus), bubble: 0},
-        g.half_edges + (hb1, hb2),
-        {**dict(g.attach), hb1: bubble, hb2: bubble},
-        {**dict(g.involution), h1: hb1, hb1: h1, h2: hb2, hb2: h2},
-        dict(g.tails),
-    )
-    degrees = {**dict(dt.multidegree), bubble: 1}
-    degrees[side] -= 1
-    return DegeneracyType(graph, degrees)
+    return _bubble(dt, edge, side, *_move_ids(g))
 
 
 # -- closure enumeration -------------------------------------------------
 
 
 def _elementary_moves(dt: DegeneracyType, band: tuple[int, int]):
-    """All single elementary degenerations staying inside the band: a
-    split draws both degrees from the band, and a bubble needs degree 1
-    in it and leaves its side's degree at least ``lo``.  A label inside
-    the band thus only moves to labels inside it."""
+    """The elementary degenerations of a Gieseker label inside the band
+    that are Gieseker labels inside it.  Being Gieseker is local: each
+    vertex passes ``_vertex_rule`` and no two bubbles are adjacent.  A
+    self-node keeps a stable vertex stable and a bubble joins two stable
+    ends, so neither needs a check.  A split must pass the rule at both
+    vertices, and a new bubble must not meet an old one across its old
+    half-edge; both sides are bubbles only when a bubble of degree 2 splits.
+    Splits draw both degrees from the band, and a bubble needs degree 1 in
+    it and leaves its side's degree at least ``lo``."""
     lo, hi = band
     g = dt.graph
+    ids = new_v, _, h1, h2 = _move_ids(g)
+    # the unstable vertices of a Gieseker label are its bubbles
+    bubbles = {v for v in g.vertices if not stable_vertex(g, v)}
+    toward = {h for h, j in g.involution.items() if g.attach[j] in bubbles}
     for v in g.vertices:
         if g.genus[v] >= 1:
-            yield "degenerate_self", degenerate_self(dt, v)
+            yield "degenerate_self", _self_node(dt, v, *ids)
     for v in g.vertices:
         gv, dv = g.genus[v], dt.multidegree[v]
         halves = g.halves_at(v)
+        sides = [  # the half-edges of each side, the new node's last
+            (moved, [h for h in halves if h not in moved] + [h1], [*moved, h2])
+            for r in range(len(halves) + 1)
+            for moved in itertools.combinations(halves, r)
+        ]
         for g1 in range(gv + 1):
             for d1 in range(max(lo, dv - hi), min(hi, dv - lo) + 1):
-                for r in range(len(halves) + 1):
-                    for moved in itertools.combinations(halves, r):
-                        yield (
-                            "degenerate_split",
-                            degenerate_split(dt, v, (g1, gv - g1), (d1, dv - d1), moved),
-                        )
+                for moved, at1, at2 in sides:
+                    fault1, bubble1 = _vertex_rule(g, v, g1, at1, d1)
+                    fault2, bubble2 = _vertex_rule(g, new_v, gv - g1, at2, dv - d1)
+                    # a new bubble's first half-edge is its old one
+                    meets = bubble1 and at1[0] in toward or bubble2 and at2[0] in toward
+                    if not (fault1 or fault2 or meets):
+                        yield "degenerate_split", _split(dt, v, g1, d1, moved, *ids)
     if lo <= 1 <= hi:
         for e in g.edges():
             v1, v2 = g.edge_endpoints(e)
-            if not all(stable_vertex(g, v) for v in {v1, v2}):
+            if v1 in bubbles or v2 in bubbles:
                 continue
             for side in sorted({v1, v2}):
                 if dt.multidegree[side] - 1 >= lo:
-                    yield "gieseker_bubble", gieseker_bubble(dt, e, side)
+                    yield "gieseker_bubble", _bubble(dt, e, side, *ids)
 
 
 def closure_poset(
@@ -310,9 +318,8 @@ def closure_poset(
     """Breadth-first closure of a stratum label under the elementary
     degenerations, with multidegrees confined to the band ``(lo, hi)``.
 
-    Only Gieseker-valid labels are retained: the elementary operations can
-    never repair an invalid vertex, so invalid labels have no valid
-    descendants and pruning them loses nothing.  Returns the strata keyed
+    The start is checked once; every move yields a Gieseker label inside
+    the band, so no candidate needs a verdict.  Returns the strata keyed
     by canonical digest and the covering arrows labelled by operation.
     """
     lo, hi = band
@@ -329,10 +336,7 @@ def closure_poset(
     while frontier:
         next_frontier: list[str] = []
         for key in frontier:
-            current = strata[key]
-            for op, cand in _elementary_moves(current, band):
-                if not classify_gieseker(cand).valid:
-                    continue
+            for op, cand in _elementary_moves(strata[key], band):
                 ck = degeneracy_key(cand)
                 arrows.add((key, ck, op))
                 if ck not in strata:

@@ -264,25 +264,13 @@ def is_stable(g: ModularGraph) -> bool:
 # by construction and the refinement only prunes the search.
 
 
-def _vertex_profiles(g: ModularGraph, extra: Optional[Mapping[str, int]]):
-    loops = {v: 0 for v in g.vertices}
-    for e in g.self_edges():
-        loops[g.attach[e[0]]] += 1
-    profiles = {}
-    for v in g.vertices:
-        ex = (1, extra[v]) if extra is not None else (0, 0)
-        profiles[v] = (g.genus[v], ex, g.tails_at(v), len(g.halves_at(v)), loops[v])
-    return profiles
-
-
-def _refined_classes(g: ModularGraph, extra: Optional[Mapping[str, int]]):
-    profiles = _vertex_profiles(g, extra)
+def _refined_classes(g: ModularGraph, profiles, pairs):
     order = sorted(set(profiles.values()))
     color = {v: order.index(profiles[v]) for v in g.vertices}
     neighbors = []  # (v, w) with multiplicity, per split-edge end
-    for e in g.split_edges():
-        v1, v2 = g.edge_endpoints(e)
-        neighbors += [(v1, v2), (v2, v1)]
+    for v1, v2 in pairs:
+        if v1 != v2:
+            neighbors += [(v1, v2), (v2, v1)]
     while True:
         keys = {
             v: (color[v], tuple(sorted(color[w] for (u, w) in neighbors if u == v)))
@@ -300,30 +288,32 @@ def _refined_classes(g: ModularGraph, extra: Optional[Mapping[str, int]]):
     return [classes[c] for c in sorted(classes)]
 
 
-def _encode(g: ModularGraph, extra, position: Mapping[str, int]):
-    rows = [None] * len(g.vertices)
-    for v, i in position.items():
-        ex = (1, extra[v]) if extra is not None else (0, 0)
-        rows[i] = (g.genus[v], ex, g.tails_at(v))
-    erows = sorted(
-        tuple(sorted((position[v1], position[v2])))
-        for (v1, v2) in (g.edge_endpoints(e) for e in g.edges())
-    )
-    return (tuple(rows), tuple(erows))
-
-
 def _canonical_order(
     g: ModularGraph,
     extra: Optional[Mapping[str, int]] = None,
     max_vertices: int = MAX_CANONICAL_VERTICES,
 ):
-    """Minimal encoding and the vertex order achieving it."""
+    """Minimal encoding (each vertex's genus, label and sorted tails in the
+    order, then the edges' endpoint positions) and the order achieving it."""
     require_valid(g)
     if len(g.vertices) > max_vertices:
         raise DomainError(
             f"canonical form limited to {max_vertices} vertices, got {len(g.vertices)}"
         )
-    classes = _refined_classes(g, extra)
+    tails: dict[str, list[str]] = {v: [] for v in g.vertices}
+    points, loops = dict.fromkeys(g.vertices, 0), dict.fromkeys(g.vertices, 0)
+    pairs = []  # the endpoints of each edge
+    for h, v in g.attach.items():
+        points[v] += 1
+        j = g.involution[h]
+        if h in g.tails:
+            tails[v].append(g.tails[h])
+        elif h < j:
+            pairs.append((v, g.attach[j]))
+            loops[v] += v == g.attach[j]
+    label = {v: (1, extra[v]) if extra is not None else (0, 0) for v in g.vertices}
+    rows = {v: (g.genus[v], label[v], tuple(sorted(tails[v]))) for v in g.vertices}
+    classes = _refined_classes(g, {v: (*rows[v], points[v], loops[v]) for v in g.vertices}, pairs)
     count = 1
     for cls in classes:
         for k in range(2, len(cls) + 1):
@@ -334,7 +324,8 @@ def _canonical_order(
     for perm_choice in itertools.product(*(itertools.permutations(c) for c in classes)):
         order = [v for chunk in perm_choice for v in chunk]
         position = {v: i for i, v in enumerate(order)}
-        enc = _encode(g, extra, position)
+        erows = sorted(tuple(sorted((position[v1], position[v2]))) for v1, v2 in pairs)
+        enc = (tuple(rows[v] for v in order), tuple(erows))
         if best is None or enc < best[0]:
             best = (enc, tuple(order))
     return best
@@ -430,6 +421,8 @@ def graph_from_json(data: dict) -> ModularGraph:
         attach = {row["id"]: row["vertex"] for row in data["half_edges"]}
     except (TypeError, KeyError) as exc:
         raise DomainError(f"malformed graph document: {exc}") from exc
+    if not all(isinstance(v, Hashable) for v in attach.values()):
+        raise DomainError("half-edge vertices must be vertex ids, not lists or objects")
     if not isinstance(data["involution"], list):
         raise DomainError("involution must be a list of half-edge pairs")
     if not isinstance(data["tails"], dict):

@@ -291,6 +291,18 @@ class TestTails:
         smooth = make_deformation(base, [], {("a", "b"): 3})
         assert tail_membership(smooth, base, r, 5, 2) == "none"
 
+    @pytest.mark.parametrize(
+        "blocks, kept",
+        [([("u", "v", "w")], [0, 1]), ([("u",), ("v",), ("w",)], [])],
+        ids=["one-block", "three-block"],
+    )
+    def test_partition_must_have_two_blocks(self, blocks, kept):
+        base = ModularGraph.build({"u": 0, "v": 0, "w": 0}, edges=[("u", "v"), ("v", "w")])
+        kept_edges = [base.edges()[i] for i in kept]
+        defo = make_deformation(base, kept_edges, {b: 0 for b in induced_blocks(base, kept_edges)})
+        with pytest.raises(DomainError, match=f"2-block partitions, got {len(blocks)} blocks"):
+            tail_membership(defo, base, Partition.of(blocks), 5, 2)
+
 
 class TestThreeVertexTrichotomy:
     def exhaustive_check(self, base, span=2):
@@ -701,6 +713,8 @@ def reference_fixed_label(defo, base, r):
 
 def reference_tail_membership(defo, base, r, upper, lower):
     _check_partition(base, r)
+    if len(r.blocks) != 2:
+        raise DomainError(f"tails are defined for 2-block partitions, got {len(r.blocks)} blocks")
     if upper <= lower:
         raise DomainError("tail bounds must satisfy upper > lower")
     if not _reference_refines(defo, r):
@@ -744,11 +758,10 @@ def reference_block_effective_genus(defo, r):
 
 def _outcome(fn, *args):
     """A value (dicts as item lists, so block order counts) or an error
-    type and text.  ``tail_membership`` on a partition without two blocks
-    raises StopIteration on both sides."""
+    type and text."""
     try:
         value = fn(*args)
-    except (DomainError, StopIteration) as exc:
+    except DomainError as exc:
         return ("error", type(exc).__name__, str(exc))
     if isinstance(value, FixedComponentLabel):
         return ("value", value.partition, list(value.sums.items()))

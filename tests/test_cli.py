@@ -80,8 +80,24 @@ def test_malformed_json_exits_one(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("tails", []), ("involution", 5), ("involution", [[["x"], "h"]])],
-    ids=["tails-not-object", "involution-not-list", "unhashable-pair-member"],
+    [
+        ("tails", []),
+        ("involution", 5),
+        ("involution", [[["x"], "h"]]),
+        ("half_edges", [{"id": "h", "vertex": {"id": "a"}}]),
+        ("half_edges", [{"id": "h", "vertex": ["a"]}]),
+        ("half_edges", [{"id": {"h": 1}, "vertex": "a"}]),
+        ("vertices", [{"id": ["a"], "genus": 0}]),
+    ],
+    ids=[
+        "tails-not-object",
+        "involution-not-list",
+        "unhashable-pair-member",
+        "object-vertex-reference",
+        "list-vertex-reference",
+        "object-half-edge-id",
+        "list-vertex-id",
+    ],
 )
 def test_malformed_graph_document_exits_one(capsys, tmp_path, field, value):
     doc = {

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,9 @@ from gieseker import (
     total_genus,
     validate,
 )
+from gieseker import degeneration
 from gieseker.degeneration import _elementary_moves, _require_labelled, component_genus
+from gieseker.modular_graph import stable_vertex
 from helpers import (
     brute_isomorphic_dt,
     certificate,
@@ -339,7 +342,7 @@ class TestClosure:
         assert {certificate(state_of(s)) for s in strata.values()} == oracle
 
     def test_moves_from_a_label_in_the_band_stay_in_it(self):
-        """Why ``closure_poset`` filters candidates by validity only."""
+        """Why ``closure_poset`` checks only its start against the band."""
         rng = random.Random("moves-stay-in-band")
         moves = 0
         for _ in range(150):
@@ -359,6 +362,17 @@ class TestClosure:
     def test_band_must_contain_start(self):
         with pytest.raises(DomainError):
             closure_strata(four_tail_vertex(5), (0, 1))
+
+    def test_one_verdict_per_closure(self, monkeypatch):
+        calls = []
+
+        def counting(dt):
+            calls.append(dt)
+            return classify_gieseker(dt)
+
+        monkeypatch.setattr(degeneration, "classify_gieseker", counting)
+        strata, _ = closure_poset(four_tail_vertex(0), (-2, 2))
+        assert len(strata) > 10 and len(calls) == 1
 
 
 class TestDeformationOf:
@@ -606,3 +620,109 @@ def test_graph_surgery_matches_the_hand_contractions():
             q_ref.tails,
         )
     assert quotients >= 300 and min(seen.values()) >= 50, (quotients, seen)
+
+
+def reference_moves(dt, band):
+    """Every elementary degeneration inside the band, each built through
+    the public functions, valid or not."""
+    lo, hi = band
+    g = dt.graph
+    for v in g.vertices:
+        if g.genus[v] >= 1:
+            yield "degenerate_self", degenerate_self(dt, v)
+    for v in g.vertices:
+        gv, dv = g.genus[v], dt.multidegree[v]
+        halves = g.halves_at(v)
+        for g1 in range(gv + 1):
+            for d1 in range(max(lo, dv - hi), min(hi, dv - lo) + 1):
+                for r in range(len(halves) + 1):
+                    for moved in itertools.combinations(halves, r):
+                        yield (
+                            "degenerate_split",
+                            degenerate_split(dt, v, (g1, gv - g1), (d1, dv - d1), moved),
+                        )
+    if lo <= 1 <= hi:
+        for e in g.edges():
+            v1, v2 = g.edge_endpoints(e)
+            if not all(stable_vertex(g, v) for v in {v1, v2}):
+                continue
+            for side in sorted({v1, v2}):
+                if dt.multidegree[side] - 1 >= lo:
+                    yield "gieseker_bubble", gieseker_bubble(dt, e, side)
+
+
+def reference_closure_poset(dt, band, max_strata):
+    """The closure that gives every candidate a Gieseker verdict."""
+    lo, hi = band
+    if lo > hi:
+        raise DomainError("empty degree band")
+    if not classify_gieseker(dt).valid:
+        raise DomainError("closure of a non-Gieseker label")
+    if not all(lo <= d <= hi for d in dt.multidegree.values()):
+        raise DomainError("starting multidegree outside the band")
+    start = degeneracy_key(dt)
+    strata = {start: dt}
+    arrows = set()
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for key in frontier:
+            for op, cand in reference_moves(strata[key], band):
+                if not classify_gieseker(cand).valid:
+                    continue
+                ck = degeneracy_key(cand)
+                arrows.add((key, ck, op))
+                if ck not in strata:
+                    strata[ck] = cand
+                    next_frontier.append(ck)
+                    if len(strata) > max_strata:
+                        raise DomainError("closure enumeration exceeded the stratum cap")
+        frontier = next_frontier
+    return strata, sorted(arrows)
+
+
+def closure_outcome(closure, dt, band, cap):
+    try:
+        strata, arrows = closure(dt, band, cap)
+    except DomainError as exc:
+        return "error", str(exc)
+    return "ok", arrows, {key: degeneracy_to_json(s) for key, s in strata.items()}
+
+
+def oracle_label(rng):
+    """A label of arithmetic genus at most 2 with at most two markings,
+    Gieseker four times in five or more, a band of width at most 5 (empty
+    now and then) and a stratum cap."""
+    while True:
+        g = random_graph(rng, max_vertices=3, max_extra_edges=1, max_loops=1, max_tails=2)
+        if total_genus(g) > 2:
+            continue
+        lo = rng.randint(-3, 2)
+        band = (lo, lo + rng.randint(-1 if rng.random() < 0.05 else 0, 5))
+        off = 1 if rng.random() < 0.05 else 0  # a start outside the band
+        dt = DegeneracyType(g, {v: rng.randint(lo, max(band) + off) for v in g.vertices})
+        if rng.random() < 0.2 or classify_gieseker(dt).valid:
+            return dt, band, rng.choice((4, 16, 64, 128))
+
+
+def test_closure_matches_the_generate_then_verdict_closure():
+    rng = random.Random("closure-oracle")
+    seen = dict.fromkeys(("ok", "degenerate_self", "degenerate_split", "gieseker_bubble"), 0)
+    errors = set()
+    for _ in range(300):
+        dt, band, cap = oracle_label(rng)
+        got = closure_outcome(closure_poset, dt, band, cap)
+        assert got == closure_outcome(reference_closure_poset, dt, band, cap), (dt, band, cap)
+        if got[0] == "error":
+            errors.add(got[1])
+            continue
+        seen["ok"] += 1
+        for _, _, op in got[1]:
+            seen[op] += 1
+    assert min(seen.values()) >= 100, seen
+    assert errors == {
+        "closure of a non-Gieseker label",
+        "starting multidegree outside the band",
+        "closure enumeration exceeded the stratum cap",
+        "empty degree band",
+    }
