@@ -128,6 +128,14 @@ def weight_zero_part(a: LaurentCharacter) -> int:
     return a.coefficient((0,) * a.arity)
 
 
+def weight_zero_pairing(a: LaurentCharacter, b: LaurentCharacter) -> int:
+    """Weight-zero part of the product a*b without multiplying: the sum of
+    a[e] b[-e] over the exponents e of a."""
+    _check_arity(a, b)
+    coefs = dict(b.terms)
+    return sum(c * coefs.get(tuple(-x for x in e), 0) for e, c in a.terms)
+
+
 def format_fraction(x: Rational) -> str:
     f = _frac(x)
     return f"{f.numerator}/{f.denominator}"
@@ -186,6 +194,12 @@ class EvaluationInsertion:
             raise DomainError("descendant exponent must be non-negative")
 
 
+# An index power p raises a character of up to two terms to the p-th
+# power at every fixed point, so its work grows with p (the coefficient's
+# digits with it); a power of 10^30 never finishes.
+MAX_INDEX_POWER = 16
+
+
 @dataclass(frozen=True)
 class IndexInsertion:
     """A power of the index class of the weight-lambda representation."""
@@ -196,6 +210,8 @@ class IndexInsertion:
     def __post_init__(self):
         if self.power < 0:
             raise DomainError("index classes support non-negative powers only")
+        if self.power > MAX_INDEX_POWER:
+            raise DomainError(f"index power {self.power} is above the cap of {MAX_INDEX_POWER}")
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves no state on the parser, so every call shares one.
+_PARSER = build_parser()
+
 PAIR_FLAGS = {"--band", "--window"}
 
 
@@ -313,11 +316,10 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_normalize_argv(list(argv)))
+        args = _PARSER.parse_args(_normalize_argv(list(argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -9,13 +9,20 @@ engines compute the chain Euler characteristic: explicit section
 progressions glued over the nodes, and per-component fixed-point terms
 expanded by exact division.  The invariant is the weight-zero part, and
 finiteness shows up as stability under window padding.
+
+Both invariants read the class's weight at a fixed point from
+``class_weight``.  On the chain every component has degree -q and both
+section formulas commute with shifting the fiber, so the sections at pt_n
+are read at weight zero by pairing that weight with the sections of one
+component whose left fiber sits at the origin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Mapping, Optional
 
 from .atlas import FixedComponentLabel, Partition, nt2b
 from .character import (
@@ -23,10 +30,10 @@ from .character import (
     LaurentCharacter,
     char_add,
     char_mul,
-    char_pow,
+    class_weight,
     degree_range,
-    index_character,
     vanishing_bounds,
+    weight_zero_pairing,
     weight_zero_part,
 )
 from .errors import DomainError
@@ -35,10 +42,14 @@ from .modular_graph import ModularGraph
 Vector = tuple[Fraction, Fraction]
 
 TANGENT_Z: Vector = (Fraction(1), Fraction(-1))
-TANGENT_W: Vector = (Fraction(-1), Fraction(1))
 
 CHAIN_MARKINGS_PLUS = ("1", "2")
 CHAIN_MARKINGS_MINUS = ("3", "4")
+
+# Every span of points one request evaluates holds at most this many: a
+# chain window, its padding and the truncation sweep (all read from one
+# span per degree), and the degrees of the three-point truncation table.
+MAX_CHAIN_POINTS = 10_000
 
 
 def chain_base_graph() -> ModularGraph:
@@ -76,24 +87,9 @@ class InvariantResult:
 
 
 @dataclass(frozen=True)
-class ChainFixedPoint:
-    n: int
-    sums: tuple[int, int]  # (plus content d+n-1, minus content -n)
-    tangent_weights: tuple[Vector, Vector]
-
-
-@dataclass(frozen=True)
-class ChainComponent:
-    n: int
-    endpoints: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class ChainModel:
     total_degree: int
     window: tuple[int, int]
-    points: tuple[ChainFixedPoint, ...]
-    components: tuple[ChainComponent, ...]
 
 
 def _chain_label(d: int, n: int) -> FixedComponentLabel:
@@ -103,17 +99,13 @@ def _chain_label(d: int, n: int) -> FixedComponentLabel:
 
 def build_chain_model(d: int, spec: AdmissibleClassSpec, window: tuple[int, int]) -> ChainModel:
     """Chain of rational curves over the boundary point, truncated to the
-    fixed points pt_n with n in the window; components join consecutive
-    fixed points.  The chain's shape does not depend on ``spec``; the
-    class enters through the line data (see ``_assemble_line_data``)."""
-    lo, hi = window
-    if lo > hi:
+    fixed points pt_n with n in the window; component n joins pt_n and
+    pt_{n+1}, where the blocks carry degrees (d+n-1, -n).  The chain's
+    shape does not depend on ``spec``; the class enters through the line
+    data."""
+    if window[0] > window[1]:
         raise DomainError("empty chain window")
-    points = tuple(
-        ChainFixedPoint(n, (d + n - 1, -n), (TANGENT_Z, TANGENT_W)) for n in range(lo, hi + 1)
-    )
-    components = tuple(ChainComponent(n, (n, n + 1)) for n in range(lo, hi))
-    return ChainModel(d, window, points, components)
+    return ChainModel(d, window)
 
 
 # -- line data on the chain ---------------------------------------------------
@@ -140,8 +132,7 @@ def _check_line_data(model: ChainModel, line: ChainLineData) -> None:
     for n in range(lo, hi + 1):
         if n not in line.fibers:
             raise DomainError(f"missing fiber weight at point {n}")
-    for comp in model.components:
-        n = comp.n
+    for n in range(lo, hi):
         if n not in line.degrees:
             raise DomainError(f"missing degree on component {n}")
         m = line.degrees[n]
@@ -205,43 +196,29 @@ def _divide_one_minus(numerator: LaurentCharacter, direction: Vector) -> Laurent
     return LaurentCharacter.from_terms(2, out)
 
 
-def _sections_localization(m: int, fiber_a: Vector, fiber_b: Vector) -> LaurentCharacter:
+def _sections_localization(m: int, fiber: Vector) -> LaurentCharacter:
     """chi of a degree-m line bundle on one component, by summing the two
-    fixed-point terms t^{phi}/(1 - t^{-tangent}) and expanding exactly."""
+    fixed-point terms t^{phi}/(1 - t^{-tangent}) and expanding exactly;
+    the fiber at the right end is the given one minus m tangent steps."""
     numerator = char_add(
-        LaurentCharacter.monomial(2, fiber_b),
-        LaurentCharacter.monomial(2, _vec_add(fiber_a, TANGENT_Z), -1),
+        LaurentCharacter.monomial(2, _vec_add(fiber, _vec_scale(-m, TANGENT_Z))),
+        LaurentCharacter.monomial(2, _vec_add(fiber, TANGENT_Z), -1),
     )
     return _divide_one_minus(numerator, TANGENT_Z)
 
 
-def _chain_terms(
-    model: ChainModel, line: ChainLineData, engine: str
-) -> Iterator[tuple[int, LaurentCharacter, LaurentCharacter]]:
-    """Each fixed point's terms, times its multiplier: the fiber term, and
-    the sections of the component that starts there (zero at the window's
-    right end).  On any sub-window [a, b] the Euler characteristic is
-    fiber(a) plus sections(n) - fiber(n) for each n in [a, b): charts
-    overlap in one fiber at every interior node."""
-    _check_line_data(model, line)
-    lo, hi = model.window
-    for n in range(lo, hi + 1):
-        mult = line.multiplier(n)
-        if n == hi:
-            sections = LaurentCharacter.zero(2)
-        elif engine == "cech":
-            sections = _sections_progression(line.degrees[n], line.fibers[n])
-        else:
-            sections = _sections_localization(line.degrees[n], line.fibers[n], line.fibers[n + 1])
-        fiber = char_mul(LaurentCharacter.monomial(2, line.fibers[n]), mult)
-        yield n, fiber, char_mul(sections, mult)
-
-
 def _chain_chi(model: ChainModel, line: ChainLineData, engine: str) -> LaurentCharacter:
-    terms = list(_chain_terms(model, line, engine))
-    total = terms[0][1]
-    for _, fiber, sections in terms[:-1]:
-        total = char_add(total, char_add(sections, -fiber))
+    """The fiber term at the window's left end plus, for each component n,
+    its sections minus the fiber at pt_n, each times pt_n's multiplier:
+    charts overlap in one fiber at every interior node."""
+    _check_line_data(model, line)
+    sections = _sections_progression if engine == "cech" else _sections_localization
+    lo, hi = model.window
+    total = char_mul(LaurentCharacter.monomial(2, line.fibers[lo]), line.multiplier(lo))
+    for n in range(lo, hi):
+        fiber = line.fibers[n]
+        local = char_add(sections(line.degrees[n], fiber), -LaurentCharacter.monomial(2, fiber))
+        total = char_add(total, char_mul(local, line.multiplier(n)))
     return total
 
 
@@ -261,25 +238,23 @@ def chain_euler_character_localization(model: ChainModel, line: ChainLineData) -
 # -- the (0,3) invariant ------------------------------------------------------
 
 
-def _g0n3_character(spec: AdmissibleClassSpec, d: int) -> LaurentCharacter:
-    """Single-variable fixed-point character at total degree d: the moduli
-    space is one point per degree with a one-dimensional stabilizer."""
-    out = LaurentCharacter.monomial(1, (spec.q * (d + 1),))
-    for ev in spec.evaluations:
-        out = char_mul(out, LaurentCharacter.monomial(1, (Fraction(-ev.weight),)))
-    for ins in spec.indices:
-        factor = LaurentCharacter.monomial(1, (Fraction(-ins.weight),), ins.weight * d + 1)
-        out = char_mul(out, char_pow(factor, ins.power))
-    return out
-
-
 def invariant_g0_n3(
     spec: AdmissibleClassSpec, scan: Optional[Iterable[int]] = None
 ) -> InvariantResult:
-    """Three-pointed genus-0 invariant: sum over degrees of the invariant
-    part of the fixed-point character."""
+    """Three-pointed genus-0 invariant: the moduli space is one point per
+    total degree d with a one-dimensional stabilizer, so each degree gives
+    the weight-zero part of the class's weight on one genus-0 block of
+    degree d that carries every marked point."""
     degrees = sorted(scan) if scan is not None else list(degree_range(spec, 0, 3))
-    breakdown = {d: weight_zero_part(_g0n3_character(spec, d)) for d in degrees}
+    block = ("v",)
+    partition = Partition.of([block])
+    point_blocks = {ev.label: block for ev in spec.evaluations}
+    breakdown = {
+        d: weight_zero_part(
+            class_weight(spec, FixedComponentLabel(partition, {block: d}), {block: 0}, point_blocks)
+        )
+        for d in degrees
+    }
     contributing = tuple(sorted(d for d, v in breakdown.items() if v))
     truncation = max((abs(d) for d in contributing), default=0)
     return InvariantResult(sum(breakdown.values()), contributing, breakdown, truncation)
@@ -288,55 +263,34 @@ def invariant_g0_n3(
 # -- the (0,4) boundary invariant ----------------------------------------------
 
 
-def _assemble_line_data(
-    spec: AdmissibleClassSpec, d: int, window: tuple[int, int]
-) -> ChainLineData:
-    """Split the admissible class on the chain into its line-bundle part
-    (twist line bundle and evaluations; every component has degree -q)
-    and the index factors as locally constant multipliers."""
-    lo, hi = window
-    eval_shift = [Fraction(0), Fraction(0)]
-    point_blocks = chain_point_blocks()
-    for ev in spec.evaluations:
-        if ev.label not in point_blocks:
-            raise DomainError(f"marked point {ev.label} has no block assignment")
-        side = 0 if point_blocks[ev.label] == ("a",) else 1
-        eval_shift[side] -= ev.weight
+def _chain_values(
+    spec: AdmissibleClassSpec, d: int, span: tuple[int, int], engine: str
+) -> Callable[[int, int], int]:
+    """Weight-zero chain value on any sub-window [a, b] of the span, from
+    one pass over the span's fixed points: fiber(a) plus sections(n) -
+    fiber(n) for each n in [a, b), where fiber(n) is the weight-zero part
+    of the class's weight W_n at pt_n and sections(n) pairs W_n with the
+    sections of a degree -q component whose left fiber is at the origin."""
+    lo, hi = span
+    if hi - lo + 1 > MAX_CHAIN_POINTS:
+        raise DomainError(
+            f"the span [{lo}, {hi}] holds {hi - lo + 1} points, above the cap of {MAX_CHAIN_POINTS}"
+        )
+    genera, point_blocks = {("a",): 0, ("b",): 0}, chain_point_blocks()
+    weights = (class_weight(spec, _chain_label(d, n), genera, point_blocks) for n in range(lo, hi + 1))
+    first = next(weights)  # an unassigned marking is reported before a fractional q
     if spec.q.denominator != 1:
         raise DomainError(
             "the boundary-chain computation needs integer component degrees; "
             f"the twist line bundle has degree -q = {-spec.q} per component"
         )
-    q = int(spec.q)
-    fibers = {}
-    multipliers = {}
-    genera = {("a",): 0, ("b",): 0}
-    for n in range(lo, hi + 1):
-        fibers[n] = (
-            Fraction(spec.q * (d + n)) + eval_shift[0],
-            Fraction(spec.q * (1 - n)) + eval_shift[1],
-        )
-        mult = LaurentCharacter.one(2)
-        label = _chain_label(d, n)
-        for ins in spec.indices:
-            mult = char_mul(mult, char_pow(index_character(label, genera, ins.weight), ins.power))
-        multipliers[n] = mult
-    degrees = {n: -q for n in range(lo, hi)}
-    return ChainLineData(degrees, fibers, multipliers)
-
-
-def _chain_values(
-    spec: AdmissibleClassSpec, d: int, span: tuple[int, int], engine: str
-) -> Callable[[int, int], int]:
-    """Weight-zero chain value on any sub-window [a, b] of the span, from
-    one pass over the span's fixed points."""
-    model = build_chain_model(d, spec, span)
-    line = _assemble_line_data(spec, d, span)
+    sections = _sections_progression if engine == "cech" else _sections_localization
+    unit = sections(-int(spec.q), (Fraction(0), Fraction(0)))
     fiber = {}
-    prefix = {span[0]: 0}  # prefix[n]: sections(k) - fiber(k) summed over k < n
-    for n, fiber_term, sections in _chain_terms(model, line, engine):
-        fiber[n] = weight_zero_part(fiber_term)
-        prefix[n + 1] = prefix[n] + weight_zero_part(sections) - fiber[n]
+    prefix = {lo: 0}  # prefix[n]: sections(k) - fiber(k) summed over k < n
+    for n, weight in enumerate(chain((first,), weights), lo):
+        fiber[n] = weight_zero_part(weight)
+        prefix[n + 1] = prefix[n] + weight_zero_pairing(unit, weight) - fiber[n]
     return lambda a, b: fiber[a] + prefix[b] - prefix[a]
 
 
@@ -377,8 +331,8 @@ def _invariant_g0_n4(
     # value is zero there)
     sweep = set(degrees) & set(degree_range(spec, 0, 4))
     t_max = _window_bound(spec, sweep) + 3
-    sweep_values = [0] * (t_max + 1)
     breakdown = {}
+    sweep_on = []  # the chain values of the sweep's degrees, each over a span holding [-t_max, t_max]
     for d in degrees:
         win = window if window is not None else _auto_window(spec, d, 2)
         if win[0] > win[1]:
@@ -394,8 +348,8 @@ def _invariant_g0_n4(
             )
         breakdown[d] = value
         if d in sweep:
-            for t in range(t_max + 1):
-                sweep_values[t] += value_on(-t, t)
+            sweep_on.append(value_on)
+    sweep_values = [sum(value_on(-t, t) for value_on in sweep_on) for t in range(t_max + 1)]
     contributing = tuple(sorted(d for d, v in breakdown.items() if v))
     total = sum(breakdown.values())
     truncation = _stable_from(sweep_values, total)
@@ -440,7 +394,15 @@ def stabilization_report(spec: AdmissibleClassSpec, case: str) -> StabilizationR
         supported = degree_range(spec, 0, 3)
         predicted = max((abs(d) for d in supported), default=0)
         final = invariant_g0_n3(spec).value
-        values = [invariant_g0_n3(spec, scan=range(-t, t + 1)).value for t in range(predicted + 4)]
+        t_max = predicted + 3
+        if 2 * t_max + 1 > MAX_CHAIN_POINTS:
+            raise DomainError(
+                f"the span [{-t_max}, {t_max}] holds {2 * t_max + 1} points, "
+                f"above the cap of {MAX_CHAIN_POINTS}"
+            )
+        # each degree is evaluated once; row t sums the degrees in [-t, t]
+        at = invariant_g0_n3(spec, scan=range(-t_max, t_max + 1)).breakdown
+        values = list(accumulate(at[t] + at[-t] if t else at[0] for t in range(t_max + 1)))
     elif case == "g0n4-boundary":
         # the invariant's own sweep runs over t = 0..predicted + 3
         predicted = _window_bound(spec, degree_range(spec, 0, 4))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +316,34 @@ def test_malformed_documents_exit_one(capsys, tmp_path, case, point_file, base_f
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+# Documents whose work the caps bound: without them each hangs or ends in
+# a traceback.  Each runs in its own process with a timeout, so that a
+# regression fails instead of hanging the suite.
+CAPPED = {
+    "index power 10^30, g0n3": ({"q": 1, "indices": [{"lambda": 1, "power": 10**30}]}, ["invariant", "--case", "g0n3"]),
+    "index power 10^30, g0n4": ({"q": 1, "indices": [{"lambda": 1, "power": 10**30}]}, ["invariant", "--case", "g0n4-boundary"]),
+    "evaluation lambda 10^23": ({"q": 1, "evaluations": [{"label": "1", "lambda": 10**23}]}, ["invariant", "--case", "g0n4-boundary"]),
+    "total degree 10^26": ({"q": 1, "total_degree": 10**26}, ["invariant", "--case", "g0n4-boundary"]),
+    "q = 1/10^23": ({"q": f"1/{10**23}", "evaluations": [{"label": "1", "lambda": 1}]}, ["invariant", "--case", "g0n4-boundary"]),
+    "lambda-0 index power 10^30": ({"q": 1, "indices": [{"lambda": 0, "power": 10**30}]}, ["invariant", "--case", "g0n4-boundary"]),
+    "stabilize, evaluation lambda 10^6": ({"q": 1, "evaluations": [{"label": "1", "lambda": 10**6}]}, ["stabilize", "--case", "g0n3"]),
+    "window of 2*10^8 points": ({"q": 1}, ["invariant", "--case", "g0n4-boundary", "--window", "-100000000,100000000"]),
+}
+
+
+@pytest.mark.parametrize("case", list(CAPPED))
+def test_capped_documents_exit_one_without_hanging(tmp_path, case):
+    import gieseker
+
+    spec, argv = CAPPED[case]
+    src = str(Path(gieseker.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gieseker.cli", *argv, "--spec", write(tmp_path, "spec.json", spec)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")

@@ -10,17 +10,31 @@ from gieseker import (
     EvaluationInsertion,
     IndexInsertion,
     LaurentCharacter,
+    StabilizationReport,
     build_chain_model,
     chain_euler_character_cech,
     chain_euler_character_localization,
+    chain_point_blocks,
+    char_mul,
+    char_pow,
+    class_weight,
     degree_range,
+    index_character,
     invariant_g0_n3,
     invariant_g0_n4_boundary,
     invariant_g0_n4_localization,
     stabilization_report,
     weight_zero_part,
 )
-from gieseker.invariants import _assemble_line_data, _chain_values
+from gieseker import invariants
+from gieseker.invariants import (
+    InvariantResult,
+    _chain_label,
+    _chain_values,
+    _sections_localization,
+    _sections_progression,
+    _stable_from,
+)
 
 U = (Fraction(1), Fraction(-1))
 
@@ -99,33 +113,24 @@ class TestG0N3:
 
 class TestChainModel:
     def test_window_counts(self):
-        model = build_chain_model(0, AdmissibleClassSpec(Fraction(1)), (0, 3))
-        assert len(model.points) == 4
-        assert len(model.components) == 3
+        model = build_chain_model(5, AdmissibleClassSpec(Fraction(1)), (0, 3))
+        assert model.total_degree == 5
+        assert model.window == (0, 3)
 
     def test_fixed_point_exponents(self):
+        # without insertions the class's weight at pt_n is the twist line
+        # bundle's fiber alone
         d, q = 2, Fraction(1)
-        line = _assemble_line_data(AdmissibleClassSpec(q), d, (-2, 2))
-        assert sorted(line.fibers) == [-2, -1, 0, 1, 2]
-        for n, fiber in line.fibers.items():
-            assert fiber == (q * (d + n), q * (1 - n))
-
-    def test_tangent_weights(self):
-        model = build_chain_model(0, AdmissibleClassSpec(Fraction(1)), (0, 1))
-        for point in model.points:
-            assert point.tangent_weights == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1)))
-
-    def test_adjacent_components_share_one_point(self):
-        model = build_chain_model(1, AdmissibleClassSpec(Fraction(1)), (-2, 2))
-        for left, right in zip(model.components, model.components[1:]):
-            shared = set(left.endpoints) & set(right.endpoints)
-            assert len(shared) == 1
+        spec = AdmissibleClassSpec(q)
+        for n in range(-2, 3):
+            weight = class_weight(spec, _chain_label(d, n), {("a",): 0, ("b",): 0}, chain_point_blocks())
+            assert weight == LaurentCharacter.monomial(2, (q * (d + n), q * (1 - n)))
 
     def test_line_bundle_degree_is_integer_step(self):
         d, q = 0, Fraction(2)
         model = build_chain_model(d, AdmissibleClassSpec(q), (-1, 2))
-        for comp in model.components:
-            n = comp.n
+        lo, hi = model.window
+        for n in range(lo, hi):
             phi_a = vec(q * (d + n), q * (1 - n))
             phi_b = vec(q * (d + n + 1), q * (-n))
             diff = (phi_a[0] - phi_b[0], phi_a[1] - phi_b[1])
@@ -160,10 +165,102 @@ def monomial_chart_sections(m, fiber_at_origin):
     return LaurentCharacter.from_terms(2, terms)
 
 
+# -- the line-data design, kept as the oracle of the weight-based chain -----
+
+
+def ref_assemble_line_data(spec, d, window):
+    """Split the admissible class on the chain into its line-bundle part
+    (twist line bundle and evaluations; every component has degree -q)
+    and the index factors as locally constant multipliers."""
+    lo, hi = window
+    eval_shift = [Fraction(0), Fraction(0)]
+    point_blocks = chain_point_blocks()
+    for ev in spec.evaluations:
+        if ev.label not in point_blocks:
+            raise DomainError(f"marked point {ev.label} has no block assignment")
+        side = 0 if point_blocks[ev.label] == ("a",) else 1
+        eval_shift[side] -= ev.weight
+    if spec.q.denominator != 1:
+        raise DomainError(
+            "the boundary-chain computation needs integer component degrees; "
+            f"the twist line bundle has degree -q = {-spec.q} per component"
+        )
+    q = int(spec.q)
+    fibers = {}
+    multipliers = {}
+    genera = {("a",): 0, ("b",): 0}
+    for n in range(lo, hi + 1):
+        fibers[n] = (
+            Fraction(spec.q * (d + n)) + eval_shift[0],
+            Fraction(spec.q * (1 - n)) + eval_shift[1],
+        )
+        mult = LaurentCharacter.one(2)
+        label = _chain_label(d, n)
+        for ins in spec.indices:
+            mult = char_mul(mult, char_pow(index_character(label, genera, ins.weight), ins.power))
+        multipliers[n] = mult
+    degrees = {n: -q for n in range(lo, hi)}
+    return ChainLineData(degrees, fibers, multipliers)
+
+
+def ref_chain_values(spec, d, span, engine):
+    """Weight-zero chain value on any sub-window [a, b] of the span, from
+    each fixed point's terms times its multiplier: the fiber, and the
+    sections of the component that starts there (zero at the span's right
+    end)."""
+    model = build_chain_model(d, spec, span)
+    line = ref_assemble_line_data(spec, d, span)
+    sections_of = _sections_progression if engine == "cech" else _sections_localization
+    lo, hi = model.window
+    fiber = {}
+    prefix = {lo: 0}  # prefix[n]: sections(k) - fiber(k) summed over k < n
+    for n in range(lo, hi + 1):
+        mult = line.multiplier(n)
+        if n == hi:
+            sections = LaurentCharacter.zero(2)
+        else:
+            sections = sections_of(line.degrees[n], line.fibers[n])
+        fiber[n] = weight_zero_part(char_mul(LaurentCharacter.monomial(2, line.fibers[n]), mult))
+        prefix[n + 1] = prefix[n] + weight_zero_part(char_mul(sections, mult)) - fiber[n]
+    return lambda a, b: fiber[a] + prefix[b] - prefix[a]
+
+
+def ref_g0n3_character(spec, d):
+    """Single-variable fixed-point character at total degree d."""
+    out = LaurentCharacter.monomial(1, (spec.q * (d + 1),))
+    for ev in spec.evaluations:
+        out = char_mul(out, LaurentCharacter.monomial(1, (Fraction(-ev.weight),)))
+    for ins in spec.indices:
+        factor = LaurentCharacter.monomial(1, (Fraction(-ins.weight),), ins.weight * d + 1)
+        out = char_mul(out, char_pow(factor, ins.power))
+    return out
+
+
+def ref_invariant_g0_n3(spec, scan=None):
+    degrees = sorted(scan) if scan is not None else list(degree_range(spec, 0, 3))
+    breakdown = {d: weight_zero_part(ref_g0n3_character(spec, d)) for d in degrees}
+    contributing = tuple(sorted(d for d, v in breakdown.items() if v))
+    truncation = max((abs(d) for d in contributing), default=0)
+    return InvariantResult(sum(breakdown.values()), contributing, breakdown, truncation)
+
+
+def ref_g0n3_report(spec):
+    """The three-point truncation table with one invariant per row."""
+    predicted = max((abs(d) for d in degree_range(spec, 0, 3)), default=0)
+    final = ref_invariant_g0_n3(spec).value
+    values = [ref_invariant_g0_n3(spec, scan=range(-t, t + 1)).value for t in range(predicted + 4)]
+    observed = _stable_from(values, final)
+    if observed > predicted:
+        raise RuntimeError(
+            f"observed stabilization {observed} exceeds the predicted bound {predicted}"
+        )
+    return StabilizationReport("g0n3", tuple(enumerate(values)), observed, predicted, final)
+
+
 def engine_value(chi, spec, d, window):
     """Weight-zero value of a public engine on the class restricted to its
     own chain window."""
-    return weight_zero_part(chi(build_chain_model(d, spec, window), _assemble_line_data(spec, d, window)))
+    return weight_zero_part(chi(build_chain_model(d, spec, window), ref_assemble_line_data(spec, d, window)))
 
 
 class TestChainChi:
@@ -338,3 +435,58 @@ class TestStabilization:
     def test_unknown_case(self):
         with pytest.raises(DomainError):
             stabilization_report(AdmissibleClassSpec(Fraction(1)), "g1n1")
+
+
+def oracle_spec(rng):
+    """A class with the insertions the oracle covers, an explicit window
+    now and then (empty or too narrow among them) and a degree scan now
+    and then."""
+    q = rng.choice([Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)])
+    labels = "1234" + "5" * (rng.random() < 0.1)
+    evals = tuple(
+        EvaluationInsertion(rng.choice(labels), rng.randint(-4, 4), rng.randint(0, 2))
+        for _ in range(rng.randint(0, 4))
+    )
+    indices = tuple(
+        IndexInsertion(rng.randint(-3, 3), rng.randint(0, 3)) for _ in range(rng.randint(0, 3))
+    )
+    window = scan = None
+    if rng.random() < 0.15:
+        lo = rng.randint(-12, 4)
+        window = (lo, lo + rng.randint(-2, 14))
+    if rng.random() < 0.15:
+        scan = range(rng.randint(-6, 0), rng.randint(0, 6))
+    return AdmissibleClassSpec(q, evals, indices), window, scan
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (DomainError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def g0n4_outcomes(spec, window, scan):
+    return [
+        outcome(invariant_g0_n4_boundary, spec, window, scan),
+        outcome(invariant_g0_n4_localization, spec, window, scan),
+        outcome(stabilization_report, spec, "g0n4-boundary"),
+    ]
+
+
+def test_class_weight_matches_the_line_data_oracle(monkeypatch):
+    rng = random.Random(61)
+    cases = [oracle_spec(rng) for _ in range(300)]
+    for spec, _, scan in cases:
+        assert outcome(invariant_g0_n3, spec, scan) == outcome(ref_invariant_g0_n3, spec, scan)
+        assert outcome(stabilization_report, spec, "g0n3") == outcome(ref_g0n3_report, spec)
+    weights = [g0n4_outcomes(*case) for case in cases]
+    monkeypatch.setattr(invariants, "_chain_values", ref_chain_values)
+    assert weights == [g0n4_outcomes(*case) for case in cases]
+    # the seeded cases reach every outcome: values, each error, and a narrow window
+    texts = {str(o) for row in weights for o in row}
+    assert any("has no block assignment" in t for t in texts)
+    assert any("integer component degrees" in t for t in texts)
+    assert any("empty chain window" in t for t in texts)
+    assert any("stabilization failure" in t for t in texts)
+    assert sum(isinstance(row[0], InvariantResult) and row[0].value != 0 for row in weights) >= 20
