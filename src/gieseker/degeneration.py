@@ -10,9 +10,7 @@ resolutions generate the closure order on stratum labels.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -20,6 +18,8 @@ from .errors import DomainError
 from .modular_graph import (
     Edge,
     ModularGraph,
+    _derived,
+    _digest,
     canonical_key,
     components,
     contract,
@@ -30,6 +30,7 @@ from .modular_graph import (
 )
 
 MAX_CLOSURE_STRATA = 50_000
+MAX_DEFORMATION_TRIES = 20_000
 
 
 @dataclass(frozen=True, eq=True)
@@ -43,9 +44,6 @@ class DegeneracyType:
     def total_degree(self) -> int:
         return sum(self.multidegree.values())
 
-    def degree(self, v: str) -> int:
-        return self.multidegree[v]
-
 
 def _require_labelled(dt: DegeneracyType) -> None:
     require_valid(dt.graph)
@@ -55,8 +53,7 @@ def _require_labelled(dt: DegeneracyType) -> None:
 
 def degeneracy_key(dt: DegeneracyType) -> str:
     """Canonical digest of the labelled graph (degrees included)."""
-    enc = canonical_key(dt.graph, extra=dict(dt.multidegree))
-    return hashlib.sha256(json.dumps(enc, sort_keys=True).encode()).hexdigest()
+    return _digest(canonical_key(dt.graph, extra=dict(dt.multidegree)))
 
 
 @dataclass(frozen=True)
@@ -123,23 +120,15 @@ def stabilize(dt: DegeneracyType) -> Stabilization:
         raise DomainError("not a Gieseker type: " + "; ".join(verdict.reasons))
     g = dt.graph
     involution = dict(g.involution)
-    removed: set[str] = set()
     contraction: dict[str, object] = {v: v for v in g.vertices if v not in verdict.bubbles}
     for b in sorted(verdict.bubbles):
         hb1, hb2 = sorted(g.halves_at(b))
         hu, hw = involution[hb1], involution[hb2]
         involution[hu], involution[hw] = hw, hu
-        removed |= {hb1, hb2}
         contraction[b] = (hu, hw) if hu < hw else (hw, hu)
-    stable = ModularGraph(
-        tuple(v for v in g.vertices if v not in verdict.bubbles),
-        {v: g.genus[v] for v in g.vertices if v not in verdict.bubbles},
-        tuple(h for h in g.half_edges if h not in removed),
-        {h: v for h, v in g.attach.items() if h not in removed},
-        {h: j for h, j in involution.items() if h not in removed},
-        dict(g.tails),
-    )
-    return Stabilization(stable, contraction)
+    attach = {h: g.attach[h] for h in g.half_edges if g.attach[h] not in verdict.bubbles}
+    genus = {v: g.genus[v] for v in g.vertices if v not in verdict.bubbles}
+    return Stabilization(_derived(g, genus, attach, {h: involution[h] for h in attach}), contraction)
 
 
 # -- elementary deformations (smoothings) and degenerations --------------
@@ -148,21 +137,23 @@ def stabilize(dt: DegeneracyType) -> Stabilization:
 def deform_resolve_self(dt: DegeneracyType, edge: Edge) -> DegeneracyType:
     """Delete a self-edge and raise the genus of its vertex by one."""
     _require_labelled(dt)
-    g = dt.graph
-    if edge not in g.edges() or not g.is_self_edge(edge):
+    if edge not in dt.graph.edges() or not dt.graph.is_self_edge(edge):
         raise DomainError(f"{edge} is not a self-edge")
-    graph, _ = contract(g, [edge])
-    return DegeneracyType(graph, dict(dt.multidegree))
+    return _resolved(dt, edge)
 
 
 def deform_resolve_split(dt: DegeneracyType, edge: Edge) -> DegeneracyType:
     """Merge the two endpoints of a splitting edge, adding genera and
     degrees; other edges between them become self-edges."""
     _require_labelled(dt)
-    g = dt.graph
-    if edge not in g.edges() or g.is_self_edge(edge):
+    if edge not in dt.graph.edges() or dt.graph.is_self_edge(edge):
         raise DomainError(f"{edge} is not a splitting edge")
-    graph, vmap = contract(g, [edge])
+    return _resolved(dt, edge)
+
+
+def _resolved(dt: DegeneracyType, edge: Edge) -> DegeneracyType:
+    """Smooth the node ``edge``, summing degrees over merged vertices."""
+    graph, vmap = contract(dt.graph, [edge])
     degrees = dict.fromkeys(graph.vertices, 0)
     for v, d in dt.multidegree.items():
         degrees[vmap[v]] += d
@@ -182,14 +173,9 @@ def _move_ids(g: ModularGraph) -> tuple[str, str, str, str]:
 def _grown(dt, genus, attach, involution, degrees) -> DegeneracyType:
     """``dt`` with entries of its maps set; new vertices and half-edges go last."""
     g = dt.graph
-    graph = ModularGraph(
-        g.vertices + tuple(v for v in genus if v not in g.genus),
-        {**g.genus, **genus},
-        g.half_edges + tuple(h for h in involution if h not in g.involution),
-        {**g.attach, **attach},
-        {**g.involution, **involution},
-        dict(g.tails),
-    )
+    genus = {**{v: g.genus[v] for v in g.vertices}, **genus}
+    attach = {**{h: g.attach[h] for h in g.half_edges}, **attach}
+    graph = _derived(g, genus, attach, {**g.involution, **involution})
     return DegeneracyType(graph, {**dt.multidegree, **degrees})
 
 
@@ -423,63 +409,70 @@ def find_isomorphism(g1: ModularGraph, g2: ModularGraph):
     """Genus- and tail-respecting isomorphism, as a (vertex map, edge map)
     pair, or ``None``.  Tail labels must match pointwise, so vertices
     carrying tails are pinned."""
+    return next(filter(None, _isomorphisms(g1, g2)), None)
+
+
+def _isomorphisms(g1: ModularGraph, g2: ModularGraph):
+    """One entry per vertex map tried: the (vertex map, edge map) pair if
+    it is an isomorphism, else ``None``.  Edges are grouped by their ends
+    in ``edges()`` order, which is sorted."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges()) != len(g2.edges()):
-        return None
+        return
     if g1.tail_labels() != g2.tail_labels():
-        return None
+        return
     pinned: dict[str, str] = {}
     at2 = {label: g2.attach[h] for h, label in g2.tails.items()}
     for h, label in g1.tails.items():
         target = at2[label]
         v = g1.attach[h]
         if pinned.get(v, target) != target:
-            return None
+            return
         pinned[v] = target
     free1 = [v for v in sorted(g1.vertices) if v not in pinned]
     used = set(pinned.values())
     free2 = [v for v in sorted(g2.vertices) if v not in used]
-    if len(set(pinned.values())) != len(pinned):
-        return None
+    if len(used) != len(pinned):
+        return
+    pairs2: dict[tuple[str, str], list[Edge]] = {}
+    for e in g2.edges():
+        pairs2.setdefault(tuple(sorted(g2.edge_endpoints(e))), []).append(e)
+    counts2 = {k: len(v) for k, v in pairs2.items()}
     for perm in itertools.permutations(free2):
-        vmap = dict(pinned)
-        vmap.update(zip(free1, perm))
+        vmap = {**pinned, **dict(zip(free1, perm))}
         if any(g1.genus[v] != g2.genus[vmap[v]] for v in g1.vertices):
+            yield None
             continue
         pairs1: dict[tuple[str, str], list[Edge]] = {}
         for e in g1.edges():
             pairs1.setdefault(tuple(sorted((vmap[v] for v in g1.edge_endpoints(e)))), []).append(e)
-        pairs2: dict[tuple[str, str], list[Edge]] = {}
-        for e in g2.edges():
-            pairs2.setdefault(tuple(sorted(g2.edge_endpoints(e))), []).append(e)
-        if {k: len(v) for k, v in pairs1.items()} != {k: len(v) for k, v in pairs2.items()}:
+        if {k: len(v) for k, v in pairs1.items()} != counts2:
+            yield None
             continue
-        emap = {}
-        for key, group in pairs1.items():
-            for e1, e2 in zip(sorted(group), sorted(pairs2[key])):
-                emap[e1] = e2
-        return vmap, emap
-    return None
+        yield vmap, {e1: e2 for key, group in pairs1.items() for e1, e2 in zip(group, pairs2[key])}
 
 
 def deformation_of(dt: DegeneracyType, base: ModularGraph) -> DeformationOfBase:
     """Express a Gieseker type over ``base``: contract its bubbles, then
-    search for kept edges whose quotient matches the stable model."""
+    search for kept edges whose quotient matches the stable model.  Each
+    choice of kept edges (the leading ``None``) and each vertex map tried
+    on its quotient counts against ``MAX_DEFORMATION_TRIES``."""
     require_valid(base, "base graph")
     st = stabilize(dt)
     markers = {marker for marker in st.contraction.values() if isinstance(marker, tuple)}
+    tried = itertools.count(1)
     # The quotient keeps exactly the kept edges, and an isomorphism needs
     # as many edges as the stable model has.
     for kept in itertools.combinations(base.edges(), len(st.graph.edges())):
-        blocks = induced_blocks(base, kept)
-        defo0 = DeformationOfBase(base, kept, blocks, {b: 0 for b in blocks}, ())
-        q, _ = quotient_graph(defo0)
-        match = find_isomorphism(q, st.graph)
-        if match is None:
-            continue
-        vmap, emap = match
-        degrees = {b: dt.multidegree[vmap[b[0]]] for b in blocks}
-        bubbled = tuple(sorted(e for e in kept if emap[e] in markers))
-        return DeformationOfBase(base, tuple(sorted(kept)), blocks, degrees, bubbled)
+        quotient, _ = contract(base, [e for e in base.edges() if e not in kept])
+        for match in itertools.chain([None], _isomorphisms(quotient, st.graph)):
+            if next(tried) > MAX_DEFORMATION_TRIES:
+                raise DomainError(f"deformation search exceeded {MAX_DEFORMATION_TRIES} tries")
+            if match is not None:
+                vmap, emap = match
+                blocks = induced_blocks(base, kept)
+                degrees = {b: dt.multidegree[vmap[b[0]]] for b in blocks}
+                bubbled = tuple(sorted(e for e in kept if emap[e] in markers))
+                return DeformationOfBase(base, kept, blocks, degrees, bubbled)
     raise DomainError("not expressible as a deformation of the base")
 
 

@@ -219,16 +219,18 @@ def contract(g: ModularGraph, edges: Iterable[Edge]) -> tuple[ModularGraph, dict
     for h, _ in edges:
         genus[vmap[g.attach[h]]] += 1
     gone = {h for e in edges for h in e}
-    halves = tuple(h for h in g.half_edges if h not in gone)
-    graph = ModularGraph(
-        tuple(genus),
-        genus,
-        halves,
-        {h: vmap[g.attach[h]] for h in halves},
-        {h: g.involution[h] for h in halves},
-        dict(g.tails),
-    )
-    return graph, vmap
+    attach = {h: vmap[g.attach[h]] for h in g.half_edges if h not in gone}
+    return _derived(g, genus, attach, {h: g.involution[h] for h in attach}), vmap
+
+
+def _derived(g: ModularGraph, genus: dict, attach: dict, involution: dict) -> ModularGraph:
+    """A graph cut from ``g``, with its tails: vertices in ``genus`` order,
+    half-edges in ``attach`` order.  Surgery keeps a valid graph valid, so
+    an ok report stored on ``g`` carries over; else the walk is lazy."""
+    graph = ModularGraph(tuple(genus), genus, tuple(attach), attach, involution, dict(g.tails))
+    if g._report is not None and g._report.ok:
+        object.__setattr__(graph, "_report", g._report)
+    return graph
 
 
 def total_genus(g: ModularGraph) -> int:
@@ -388,8 +390,12 @@ def canonical_form(g: ModularGraph, max_vertices: int = MAX_CANONICAL_VERTICES) 
         involution,
         tails,
     )
-    digest = hashlib.sha256(json.dumps(enc, sort_keys=True).encode()).hexdigest()
-    return CanonicalGraph(canon, digest, vertex_map, half_edge_map)
+    return CanonicalGraph(canon, _digest(enc), vertex_map, half_edge_map)
+
+
+def _digest(enc) -> str:
+    """The sha256 hex digest of a canonical encoding."""
+    return hashlib.sha256(json.dumps(enc, sort_keys=True).encode()).hexdigest()
 
 
 # -- JSON interface ----------------------------------------------------

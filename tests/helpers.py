@@ -54,6 +54,16 @@ def random_graph(
     return ModularGraph.build(genus, edges, tails)
 
 
+def cycle_over_path(n: int) -> tuple[DegeneracyType, ModularGraph]:
+    """An unmarked n-cycle base of genus-1 vertices, and a label of its
+    genus (a path with one doubled edge) that does not lie over it: a
+    search for the label over the base tries every vertex map."""
+    names = [f"v{i}" for i in range(n)]
+    base = ModularGraph.build(dict.fromkeys(names, 1), [(names[i], names[i - 1]) for i in range(n)])
+    path = ModularGraph.build(dict.fromkeys(names, 1), [*zip(names, names[1:]), (names[0], names[1])])
+    return DegeneracyType(path, dict.fromkeys(names, 0)), base
+
+
 def random_degeneracy(rng: random.Random, graph: ModularGraph, span: int = 5) -> DegeneracyType:
     return DegeneracyType(graph, {v: rng.randint(-span, span) for v in graph.vertices})
 

@@ -15,6 +15,7 @@ from gieseker import (
     graph_to_json,
 )
 from gieseker.cli import main
+from helpers import cycle_over_path
 
 
 def write(tmp_path, name, payload):
@@ -318,18 +319,24 @@ def test_malformed_documents_exit_one(capsys, tmp_path, case, point_file, base_f
     assert err.startswith("error: ")
 
 
+CYCLE_LABEL, CYCLE_BASE = cycle_over_path(9)
+
 # Documents whose work the caps bound: without them each hangs or ends in
 # a traceback.  Each runs in its own process with a timeout, so that a
-# regression fails instead of hanging the suite.
+# regression fails instead of hanging the suite.  A case gives the document
+# of each option and the command's other arguments.
 CAPPED = {
-    "index power 10^30, g0n3": ({"q": 1, "indices": [{"lambda": 1, "power": 10**30}]}, ["invariant", "--case", "g0n3"]),
-    "index power 10^30, g0n4": ({"q": 1, "indices": [{"lambda": 1, "power": 10**30}]}, ["invariant", "--case", "g0n4-boundary"]),
-    "evaluation lambda 10^23": ({"q": 1, "evaluations": [{"label": "1", "lambda": 10**23}]}, ["invariant", "--case", "g0n4-boundary"]),
-    "total degree 10^26": ({"q": 1, "total_degree": 10**26}, ["invariant", "--case", "g0n4-boundary"]),
-    "q = 1/10^23": ({"q": f"1/{10**23}", "evaluations": [{"label": "1", "lambda": 1}]}, ["invariant", "--case", "g0n4-boundary"]),
-    "lambda-0 index power 10^30": ({"q": 1, "indices": [{"lambda": 0, "power": 10**30}]}, ["invariant", "--case", "g0n4-boundary"]),
-    "stabilize, evaluation lambda 10^6": ({"q": 1, "evaluations": [{"label": "1", "lambda": 10**6}]}, ["stabilize", "--case", "g0n3"]),
-    "window of 2*10^8 points": ({"q": 1}, ["invariant", "--case", "g0n4-boundary", "--window", "-100000000,100000000"]),
+    "index power 10^30, g0n3": ({"--spec": {"q": 1, "indices": [{"lambda": 1, "power": 10**30}]}}, ["invariant", "--case", "g0n3"]),
+    "index power 10^30, g0n4": ({"--spec": {"q": 1, "indices": [{"lambda": 1, "power": 10**30}]}}, ["invariant", "--case", "g0n4-boundary"]),
+    "evaluation lambda 10^23": ({"--spec": {"q": 1, "evaluations": [{"label": "1", "lambda": 10**23}]}}, ["invariant", "--case", "g0n4-boundary"]),
+    "total degree 10^26": ({"--spec": {"q": 1, "total_degree": 10**26}}, ["invariant", "--case", "g0n4-boundary"]),
+    "q = 1/10^23": ({"--spec": {"q": f"1/{10**23}", "evaluations": [{"label": "1", "lambda": 1}]}}, ["invariant", "--case", "g0n4-boundary"]),
+    "lambda-0 index power 10^30": ({"--spec": {"q": 1, "indices": [{"lambda": 0, "power": 10**30}]}}, ["invariant", "--case", "g0n4-boundary"]),
+    "stabilize, evaluation lambda 10^6": ({"--spec": {"q": 1, "evaluations": [{"label": "1", "lambda": 10**6}]}}, ["stabilize", "--case", "g0n3"]),
+    "window of 2*10^8 points": ({"--spec": {"q": 1}}, ["invariant", "--case", "g0n4-boundary", "--window", "-100000000,100000000"]),
+    "stabilizer, 9-cycle base": (
+        {"--type": degeneracy_to_json(CYCLE_LABEL), "--base": graph_to_json(CYCLE_BASE)}, ["stabilizer"]
+    ),
 }
 
 
@@ -337,11 +344,13 @@ CAPPED = {
 def test_capped_documents_exit_one_without_hanging(tmp_path, case):
     import gieseker
 
-    spec, argv = CAPPED[case]
+    documents, argv = CAPPED[case]
+    for option, doc in documents.items():
+        argv = [*argv, option, write(tmp_path, option[2:] + ".json", doc)]
     src = str(Path(gieseker.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "gieseker.cli", *argv, "--spec", write(tmp_path, "spec.json", spec)],
+        [sys.executable, "-m", "gieseker.cli", *argv],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,12 +28,13 @@ from gieseker import (
     total_genus,
     validate,
 )
-from gieseker import degeneration
-from gieseker.degeneration import _elementary_moves, _require_labelled, component_genus
-from gieseker.modular_graph import stable_vertex
+from gieseker import degeneration, modular_graph
+from gieseker.degeneration import _elementary_moves, _require_labelled, component_genus, induced_blocks
+from gieseker.modular_graph import contract, stable_vertex
 from helpers import (
     brute_isomorphic_dt,
     certificate,
+    cycle_over_path,
     oracle_closure,
     random_degeneracy,
     random_graph,
@@ -726,3 +728,101 @@ def test_closure_matches_the_generate_then_verdict_closure():
         "closure enumeration exceeded the stratum cap",
         "empty degree band",
     }
+
+
+# -- inherited validity --------------------------------------------------
+#
+# A graph built by surgery on a checked graph carries the parent's report
+# instead of being walked again.  The oracle walks every such graph afresh
+# with the unpatched walk and requires it to be ok and equal to that report.
+
+WALK = modular_graph._check_structure
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The graphs walked through ``validate`` from here on."""
+    walked = []
+    monkeypatch.setattr(modular_graph, "_check_structure", lambda g: walked.append(g) or WALK(g))
+    return walked
+
+
+def require_inherited(graph, walks):
+    assert graph._report is not None and all(w is not graph for w in walks)
+    fresh = WALK(graph)
+    assert fresh.ok and fresh == graph._report, fresh.errors
+
+
+def test_closure_strata_inherit_the_start_report(walks):
+    rng = random.Random("inherited-closure")
+    closures = strata = 0
+    while closures < 300:
+        dt, band, cap = oracle_label(rng)
+        walks.clear()
+        try:
+            found = closure_strata(dt, band, cap)
+        except DomainError:
+            continue
+        assert all(w is dt.graph for w in walks)
+        for s in found.values():
+            if s is not dt:
+                require_inherited(s.graph, walks)
+                strata += 1
+        closures += 1
+    assert strata >= 2000, strata
+
+
+def test_surgery_inherits_only_an_ok_report(walks):
+    rng = random.Random("inherited-surgery")
+    seen = Counter()
+    for _ in range(400):
+        g = surgery_graph(rng)
+        kept = [e for e in g.edges() if rng.random() < 0.5]
+        dropped = [e for e in g.edges() if e not in kept]
+        assert contract(g, dropped)[0]._report is None  # an unchecked parent
+        if not validate(g).ok:
+            assert contract(g, dropped)[0]._report is None
+            seen["invalid"] += 1
+            continue
+        dt = DegeneracyType(g, {v: rng.randint(-2, 2) for v in g.vertices})
+        walks.clear()
+        grown = []
+        v = rng.choice(g.vertices)
+        gv, dv = g.genus[v], dt.multidegree[v]
+        if gv:
+            grown.append(degenerate_self(dt, v))
+        g1, d1 = rng.randint(0, gv), rng.randint(-2, 2)
+        moved = [h for h in g.halves_at(v) if rng.random() < 0.5]
+        grown.append(degenerate_split(dt, v, (g1, gv - g1), (d1, dv - d1), moved))
+        grown += [gieseker_bubble(dt, e, g.attach[e[0]]) for e in g.edges()
+                  if all(stable_vertex(g, u) for u in g.edge_endpoints(e))]
+        for out in grown:  # a move appends its new vertices and half-edges
+            assert out.graph.vertices[: len(g.vertices)] == g.vertices
+            assert out.graph.half_edges[: len(g.half_edges)] == g.half_edges
+        derived = [out.graph for out in grown]
+        derived += [(deform_resolve_self if g.is_self_edge(e) else deform_resolve_split)(dt, e).graph
+                    for e in g.edges()]
+        derived += [stabilize(out).graph for out in [dt, *grown] if classify_gieseker(out).valid]
+        q, _ = quotient_graph(make_deformation(g, kept, dict.fromkeys(induced_blocks(g, kept), 0)))
+        derived.append(q)
+        if is_stable(q):  # q, and q with a bubble, lie over g
+            label = DegeneracyType(q, dict.fromkeys(q.vertices, 1))
+            ends = [e for e in q.edges() if not q.is_self_edge(e)]
+            for over in [label] + [gieseker_bubble(label, e, q.attach[e[0]]) for e in ends[:1]]:
+                derived.append(quotient_graph(deformation_of(over, g))[0])
+                seen["over"] += 1
+        for graph in derived:
+            require_inherited(graph, walks)
+        seen["valid"] += 1
+        seen["derived"] += len(derived)
+    assert seen["invalid"] >= 40 and seen["valid"] >= 300 and seen["over"] >= 300, seen
+
+
+def test_deformation_search_is_capped():
+    # 7! vertex maps fit under the cap, 9! do not
+    label, base = cycle_over_path(7)
+    with pytest.raises(DomainError, match="not expressible"):
+        deformation_of(label, base)
+    label, base = cycle_over_path(9)
+    with pytest.raises(DomainError, match=f"exceeded {degeneration.MAX_DEFORMATION_TRIES} tries"):
+        deformation_of(label, base)
