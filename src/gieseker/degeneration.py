@@ -259,7 +259,9 @@ def _elementary_moves(dt: DegeneracyType, band: tuple[int, int]):
     vertices, and a new bubble must not meet an old one across its old
     half-edge; both sides are bubbles only when a bubble of degree 2 splits.
     Splits draw both degrees from the band, and a bubble needs degree 1 in
-    it and leaves its side's degree at least ``lo``."""
+    it and leaves its side's degree at least ``lo``.  A split and its mirror
+    (genera and degrees swapped, the complement moved) give isomorphic
+    labels and pass or fail together, so only the one met first is yielded."""
     lo, hi = band
     g = dt.graph
     ids = new_v, _, h1, h2 = _move_ids(g)
@@ -280,6 +282,9 @@ def _elementary_moves(dt: DegeneracyType, band: tuple[int, int]):
         for g1 in range(gv + 1):
             for d1 in range(max(lo, dv - hi), min(hi, dv - lo) + 1):
                 for moved, at1, at2 in sides:
+                    key, mkey = (g1, d1, len(moved)), (gv - g1, dv - d1, len(halves) - len(moved))
+                    if key > mkey or key == mkey and halves and halves[0] not in moved:
+                        continue  # the mirror split came first and gives the same label
                     fault1, bubble1 = _vertex_rule(g, v, g1, at1, d1)
                     fault2, bubble2 = _vertex_rule(g, new_v, gv - g1, at2, dv - d1)
                     # a new bubble's first half-edge is its old one
@@ -306,7 +311,8 @@ def closure_poset(
 
     The start is checked once; every move yields a Gieseker label inside
     the band, so no candidate needs a verdict.  Returns the strata keyed
-    by canonical digest and the covering arrows labelled by operation.
+    by canonical digest and the covering arrows labelled by operation; the
+    walk keys by canonical encoding and digests each stratum once, at the end.
     """
     lo, hi = band
     if lo > hi:
@@ -315,15 +321,15 @@ def closure_poset(
         raise DomainError("closure of a non-Gieseker label")
     if not all(lo <= d <= hi for d in dt.multidegree.values()):
         raise DomainError("starting multidegree outside the band")
-    start = degeneracy_key(dt)
+    start = canonical_key(dt.graph, extra=dt.multidegree)
     strata = {start: dt}
-    arrows: set[tuple[str, str, str]] = set()
+    arrows = set()
     frontier = [start]
     while frontier:
-        next_frontier: list[str] = []
+        next_frontier = []
         for key in frontier:
             for op, cand in _elementary_moves(strata[key], band):
-                ck = degeneracy_key(cand)
+                ck = canonical_key(cand.graph, extra=cand.multidegree)
                 arrows.add((key, ck, op))
                 if ck not in strata:
                     strata[ck] = cand
@@ -331,7 +337,9 @@ def closure_poset(
                     if len(strata) > max_strata:
                         raise DomainError("closure enumeration exceeded the stratum cap")
         frontier = next_frontier
-    return strata, sorted(arrows)
+    digest = {key: _digest(key) for key in strata}
+    arrows = sorted((digest[src], digest[dst], op) for src, dst, op in arrows)
+    return {digest[k]: s for k, s in strata.items()}, arrows
 
 
 def closure_strata(
@@ -412,11 +420,18 @@ def find_isomorphism(g1: ModularGraph, g2: ModularGraph):
     return next(filter(None, _isomorphisms(g1, g2)), None)
 
 
+def _valences(g: ModularGraph) -> list[tuple[int, int]]:
+    """Each vertex's genus and count of edge ends, sorted: an isomorphism keeps them."""
+    ends = [g.attach[h] for h, j in g.involution.items() if h != j]
+    return sorted([(g.genus[v], ends.count(v)) for v in g.vertices])
+
+
 def _isomorphisms(g1: ModularGraph, g2: ModularGraph):
     """One entry per vertex map tried: the (vertex map, edge map) pair if
     it is an isomorphism, else ``None``.  Edges are grouped by their ends
     in ``edges()`` order, which is sorted."""
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges()) != len(g2.edges()):
+    edges1, edges2 = g1.edges(), g2.edges()
+    if len(g1.vertices) != len(g2.vertices) or len(edges1) != len(edges2):
         return
     if g1.tail_labels() != g2.tail_labels():
         return
@@ -433,8 +448,11 @@ def _isomorphisms(g1: ModularGraph, g2: ModularGraph):
     free2 = [v for v in sorted(g2.vertices) if v not in used]
     if len(used) != len(pinned):
         return
+    # with one free vertex or none there is one map to try, so this saves none
+    if len(free2) > 1 and _valences(g1) != _valences(g2):
+        return
     pairs2: dict[tuple[str, str], list[Edge]] = {}
-    for e in g2.edges():
+    for e in edges2:
         pairs2.setdefault(tuple(sorted(g2.edge_endpoints(e))), []).append(e)
     counts2 = {k: len(v) for k, v in pairs2.items()}
     for perm in itertools.permutations(free2):
@@ -443,7 +461,7 @@ def _isomorphisms(g1: ModularGraph, g2: ModularGraph):
             yield None
             continue
         pairs1: dict[tuple[str, str], list[Edge]] = {}
-        for e in g1.edges():
+        for e in edges1:
             pairs1.setdefault(tuple(sorted((vmap[v] for v in g1.edge_endpoints(e)))), []).append(e)
         if {k: len(v) for k, v in pairs1.items()} != counts2:
             yield None

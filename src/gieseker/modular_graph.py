@@ -269,21 +269,18 @@ def is_stable(g: ModularGraph) -> bool:
 def _refined_classes(g: ModularGraph, profiles, pairs):
     order = sorted(set(profiles.values()))
     color = {v: order.index(profiles[v]) for v in g.vertices}
-    neighbors = []  # (v, w) with multiplicity, per split-edge end
+    neighbors = {v: [] for v in g.vertices}  # with multiplicity, per split-edge end
     for v1, v2 in pairs:
         if v1 != v2:
-            neighbors += [(v1, v2), (v2, v1)]
-    while True:
-        keys = {
-            v: (color[v], tuple(sorted(color[w] for (u, w) in neighbors if u == v)))
-            for v in g.vertices
-        }
-        order = sorted(set(keys.values()))
-        new_color = {v: order.index(keys[v]) for v in g.vertices}
-        if len(set(new_color.values())) == len(set(color.values())):
-            color = new_color
+            neighbors[v1].append(v2)
+            neighbors[v2].append(v1)
+    while len(order) < len(g.vertices):  # distinct colors cannot split further
+        keys = {v: (color[v], tuple(sorted(color[w] for w in neighbors[v]))) for v in g.vertices}
+        refined = sorted(set(keys.values()))
+        color = {v: refined.index(keys[v]) for v in g.vertices}
+        if len(refined) == len(order):
             break
-        color = new_color
+        order = refined
     classes: dict[int, list[str]] = {}
     for v in sorted(g.vertices):
         classes.setdefault(color[v], []).append(v)

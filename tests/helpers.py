@@ -56,12 +56,24 @@ def random_graph(
 
 def cycle_over_path(n: int) -> tuple[DegeneracyType, ModularGraph]:
     """An unmarked n-cycle base of genus-1 vertices, and a label of its
-    genus (a path with one doubled edge) that does not lie over it: a
-    search for the label over the base tries every vertex map."""
+    genus (a path with one doubled edge) that does not lie over it.  The
+    two differ in their valences, so a search refuses the label at once."""
     names = [f"v{i}" for i in range(n)]
     base = ModularGraph.build(dict.fromkeys(names, 1), [(names[i], names[i - 1]) for i in range(n)])
     path = ModularGraph.build(dict.fromkeys(names, 1), [*zip(names, names[1:]), (names[0], names[1])])
     return DegeneracyType(path, dict.fromkeys(names, 0)), base
+
+
+def chorded_cycles(n: int) -> tuple[DegeneracyType, ModularGraph]:
+    """An unmarked n-cycle of genus-1 vertices with the chord (v0, v2) as
+    the base, and with the chord (v0, v4) as a label that does not lie
+    over it.  Genera and valences agree, so a search for the label over
+    the base tries every vertex map."""
+    names = [f"v{i}" for i in range(n)]
+    cycle = [(names[i], names[i - 1]) for i in range(n)]
+    base = ModularGraph.build(dict.fromkeys(names, 1), [*cycle, (names[0], names[2])])
+    label = ModularGraph.build(dict.fromkeys(names, 1), [*cycle, (names[0], names[4])])
+    return DegeneracyType(label, dict.fromkeys(names, 0)), base
 
 
 def random_degeneracy(rng: random.Random, graph: ModularGraph, span: int = 5) -> DegeneracyType:

@@ -15,7 +15,7 @@ from gieseker import (
     graph_to_json,
 )
 from gieseker.cli import main
-from helpers import cycle_over_path
+from helpers import chorded_cycles
 
 
 def write(tmp_path, name, payload):
@@ -319,7 +319,7 @@ def test_malformed_documents_exit_one(capsys, tmp_path, case, point_file, base_f
     assert err.startswith("error: ")
 
 
-CYCLE_LABEL, CYCLE_BASE = cycle_over_path(9)
+CYCLE_LABEL, CYCLE_BASE = chorded_cycles(9)
 
 # Documents whose work the caps bound: without them each hangs or ends in
 # a traceback.  Each runs in its own process with a timeout, so that a

@@ -34,6 +34,7 @@ from gieseker.modular_graph import contract, stable_vertex
 from helpers import (
     brute_isomorphic_dt,
     certificate,
+    chorded_cycles,
     cycle_over_path,
     oracle_closure,
     random_degeneracy,
@@ -375,6 +376,64 @@ class TestClosure:
         monkeypatch.setattr(degeneration, "classify_gieseker", counting)
         strata, _ = closure_poset(four_tail_vertex(0), (-2, 2))
         assert len(strata) > 10 and len(calls) == 1
+
+    def test_no_split_is_yielded_with_its_mirror(self):
+        rng = random.Random("mirrored-splits")
+        splits = mirrored = 0
+        for _ in range(150):
+            g = random_graph(rng, max_vertices=3, max_extra_edges=1, max_loops=1, max_tails=2)
+            lo = rng.randint(-3, 2)
+            band = (lo, lo + rng.randint(0, 3))
+            dt = DegeneracyType(g, {v: rng.randint(*band) for v in g.vertices})
+            yielded, keys = set(), set()
+            for op, cand in _elementary_moves(dt, band):
+                if op != "degenerate_split":
+                    continue
+                new_v, v = cand.graph.vertices[-1], cand.graph.attach[cand.graph.half_edges[-2]]
+                moved = frozenset(h for h in g.half_edges if cand.graph.attach[h] == new_v)
+                split = (v, cand.graph.genus[v], cand.multidegree[v], moved)
+                mirror = (v, g.genus[v] - split[1], dt.multidegree[v] - split[2],
+                          frozenset(g.halves_at(v)) - moved)
+                assert mirror == split or mirror not in yielded, (dt, band, split)
+                mirrored += mirror != split
+                yielded.add(split)
+                keys.add(degeneracy_key(cand))
+            splits += len(yielded)
+            if classify_gieseker(dt).valid:  # the splits left out give no label the kept ones miss
+                assert keys == {degeneracy_key(cand) for op, cand in reference_moves(dt, band)
+                                if op == "degenerate_split" and classify_gieseker(cand).valid}
+        assert splits > 500 and mirrored > 500, (splits, mirrored)
+
+    def test_one_canonical_key_per_candidate_and_one_digest_per_stratum(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            return lambda *a, **k: calls.update([name]) or fn(*a, **k)
+
+        def moves(dt, band):
+            for move in _elementary_moves(dt, band):
+                calls["move"] += 1
+                yield move
+
+        monkeypatch.setattr(degeneration, "_elementary_moves", moves)
+        monkeypatch.setattr(degeneration, "canonical_key", counted("key", degeneration.canonical_key))
+        monkeypatch.setattr(degeneration, "_digest", counted("digest", degeneration._digest))
+        rng = random.Random("keys-per-closure")
+        closures = 0
+        while closures < 40:
+            dt, band, cap = oracle_label(rng)
+            calls.clear()
+            try:
+                strata, _ = closure_poset(dt, band, cap)
+            except DomainError:
+                continue
+            assert calls["key"] == calls["move"] + 1, calls
+            assert calls["digest"] == len(strata), calls
+            closures += 1
+        calls.clear()
+        strata, arrows = closure_poset(four_tail_vertex(0), (-2, 2))
+        # keying every mirrored split as well took 103 keys, and a digest per key
+        assert (calls["key"], calls["digest"], len(strata), len(arrows)) == (64, 28, 28, 63)
 
 
 class TestDeformationOf:
@@ -820,9 +879,20 @@ def test_surgery_inherits_only_an_ok_report(walks):
 
 def test_deformation_search_is_capped():
     # 7! vertex maps fit under the cap, 9! do not
-    label, base = cycle_over_path(7)
+    label, base = chorded_cycles(7)
     with pytest.raises(DomainError, match="not expressible"):
         deformation_of(label, base)
-    label, base = cycle_over_path(9)
+    label, base = chorded_cycles(9)
     with pytest.raises(DomainError, match=f"exceeded {degeneration.MAX_DEFORMATION_TRIES} tries"):
         deformation_of(label, base)
+
+
+def test_differing_valences_are_refused_before_any_vertex_map(monkeypatch):
+    tried = []
+    search = degeneration._isomorphisms
+    monkeypatch.setattr(degeneration, "_isomorphisms", lambda g1, g2: tried.extend(itertools.islice(search(g1, g2), 1)) or ())
+    for n in (8, 9, 12):
+        label, base = cycle_over_path(n)
+        with pytest.raises(DomainError, match="not expressible"):
+            deformation_of(label, base)
+    assert not tried

@@ -195,6 +195,53 @@ def test_digest_agreement_up_to_seven_vertices():
         assert same == brute_isomorphic(g1, g2)
 
 
+def reference_refined_classes(g, profiles, pairs):
+    """The refinement that scans every edge end for every vertex each round."""
+    order = sorted(set(profiles.values()))
+    color = {v: order.index(profiles[v]) for v in g.vertices}
+    neighbors = []  # (v, w) with multiplicity, per split-edge end
+    for v1, v2 in pairs:
+        if v1 != v2:
+            neighbors += [(v1, v2), (v2, v1)]
+    while True:
+        keys = {
+            v: (color[v], tuple(sorted(color[w] for (u, w) in neighbors if u == v)))
+            for v in g.vertices
+        }
+        order = sorted(set(keys.values()))
+        new_color = {v: order.index(keys[v]) for v in g.vertices}
+        if len(set(new_color.values())) == len(set(color.values())):
+            color = new_color
+            break
+        color = new_color
+    classes = {}
+    for v in sorted(g.vertices):
+        classes.setdefault(color[v], []).append(v)
+    return [classes[c] for c in sorted(classes)]
+
+
+def test_refinement_matches_the_edge_scan(monkeypatch):
+    refine = modular_graph._refined_classes
+    seen = {"split": 0, "distinct": 0, "tied": 0}
+
+    def compared(g, profiles, pairs):
+        got = refine(g, profiles, pairs)
+        assert got == reference_refined_classes(g, profiles, pairs), (g, profiles)
+        initial = len(set(profiles.values()))
+        seen["distinct" if initial == len(g.vertices) else "split" if len(got) > initial else "tied"] += 1
+        return got
+
+    rng = random.Random("refinement-oracle")
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=7, max_extra_edges=3, max_genus=1, max_tails=2)
+        for extra in (None, {v: rng.randint(-1, 1) for v in g.vertices}):
+            monkeypatch.setattr(modular_graph, "_refined_classes", compared)
+            got = (modular_graph.canonical_key(g, extra), canonical_form(g).digest)
+            monkeypatch.setattr(modular_graph, "_refined_classes", reference_refined_classes)
+            assert got == (modular_graph.canonical_key(g, extra), canonical_form(g).digest)
+    assert min(seen.values()) >= 50, seen
+
+
 @given(seeds("json"))
 def test_json_roundtrip_lossless(rng):
     g = random_graph(rng)
